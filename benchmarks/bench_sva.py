@@ -16,10 +16,10 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_sva.py [--cycles N] [--output PATH]
 
-Schema of the output (``bench_sva/v4``)::
+Schema of the output (``bench_sva/v5``)::
 
     {
-      "schema": "bench_sva/v4",
+      "schema": "bench_sva/v5",
       "cycles_per_family": <int>,            # trace length per microbench
       "timing_repeats": <int>,               # best-of-N wall-clock policy
       "microbenchmarks": {
@@ -27,26 +27,14 @@ Schema of the output (``bench_sva/v4``)::
           "assertions": <int>,
           "cycles": <int>,
           "interp_checks_per_s": <float>,    # tree-walking full-trace checks/s
-          "compiled_checks_per_s": <float>,  # default = attempt-tensor engine
-          "walk_checks_per_s": <float>,      # vectorised series + Python walk
-          "closure_checks_per_s": <float>,   # per-cycle closure path (vectorise=False)
+          "compiled_checks_per_s": <float>,  # the attempt-tensor engine
           "lower_ms": <float>,               # one-off assertion lowering cost
-          "speedup": <float>,                # default engine vs tree-walker
-          "vector_speedup": <float>,         # vectorised series vs closure path
-          "attempt_speedup": <float>,        # attempt tensor vs Python walk
+          "speedup": <float>,                # attempt tensor vs tree-walker
           "batch_speedup": <float>           # stacked check_batch vs per-trace check
         }, ...
       },
       "geomean_speedup": <float>,
       "min_speedup": <float>,
-      "vectorised": {                        # columnar series vs closure path
-        "geomean_speedup": <float>,
-        "min_speedup": <float>
-      },
-      "attempt_tensor": {                    # 2-D attempt resolution vs walk
-        "geomean_speedup": <float>,
-        "min_speedup": <float>
-      },
       "batch": {                             # seed-stacked single-pass leg
         "traces": <int>,                     # seed-trace batch size (verifier shape)
         "cycles": <int>,
@@ -61,21 +49,18 @@ Schema of the output (``bench_sva/v4``)::
       }
     }
 
-v4 adds the attempt-tensor leg: the compiled checker now resolves every
-attempt of a vectorised assertion in one whole-array (attempt x cycle)
-numpy expression (:func:`repro.sva.vector.walk_attempts_tensor`), and
-``check_batch`` stacks a batch's per-seed columns into one padded
-(seed x cycle) grid so each assertion covers all seeds in a single 2-D
-pass.  ``walk_checks_per_s`` keeps the previous generation (vectorised
-series + Python attempt walk, ``attempt_tensor=False``) measurable;
-``attempt_speedup`` records what the tensor buys over it, and
-``vector_speedup`` still compares the series engines like-for-like (both
-on the Python walk).  The run hard-fails on any verdict divergence
-between the tree-walker, the closure path, the walk path and the tensor
-path, batched or not.
+The compiled checker has one engine, the attempt tensor
+(:func:`repro.sva.vector.walk_attempts_tensor`), and ``check_batch``
+stacks a batch's per-seed columns into one padded (seed x cycle) grid so
+each assertion covers all seeds in a single 2-D pass.  The run hard-fails
+on any verdict divergence between the tensor and the tree-walker, and
+between the stacked batch pass and per-trace checking.
 
-v3 added the vectorised-series leg; v2 added the batch leg (the verifier
-pushes all of a candidate's seed traces through one ``check_batch`` pass).
+v5 drops v4's ``walk``/``closure`` legs (``walk_checks_per_s``,
+``closure_checks_per_s``, ``vector_speedup``, ``attempt_speedup`` and the
+two matching geomean summaries): the engines they measured are gone.  v4 added those legs, v3 the vectorised series, v2 the batch
+leg (the verifier pushes all of a candidate's seed traces through one
+``check_batch`` pass).
 """
 
 from __future__ import annotations
@@ -168,16 +153,6 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     lower_ms = (time.perf_counter() - start) * 1e3
     compiled_s = _best_of(repeat, lambda: compiled.check(trace))
 
-    # The previous engine generation: same vectorised series, per-attempt
-    # Python walk instead of the whole-array attempt tensor.
-    walk = CompiledAssertionChecker(design, strict=True, attempt_tensor=False)
-    walk_s = _best_of(repeat, lambda: walk.check(trace))
-
-    # Two generations back: same lowering, per-cycle closure series instead
-    # of whole-array evaluation, on the very same trace.
-    closure = CompiledAssertionChecker(design, strict=True, vectorise=False)
-    closure_s = _best_of(repeat, lambda: closure.check(trace))
-
     # Multi-trace batch leg: all seed traces through one check_batch pass
     # (what the verifier does per candidate) vs one check call per trace.
     # The batched pass stacks the per-seed columns into one (seed x cycle)
@@ -194,13 +169,10 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     batched_s = _best_of(repeat, lambda: compiled.check_batch(batch))
 
     # The benchmark doubles as a differential guard and hard-fails on any
-    # verdict divergence across the full four-way fallback chain --
-    # tree-walker vs attempt tensor vs vectorised walk vs closure path --
-    # plus the stacked batch pass against per-trace checking.
+    # verdict divergence: tree-walker vs attempt tensor, plus the stacked
+    # batch pass against per-trace checking.
     baseline = interp.check(trace)
     _assert_verdicts_identical(family.name, baseline, compiled.check(trace), "attempt tensor")
-    _assert_verdicts_identical(family.name, baseline, walk.check(trace), "vectorised walk")
-    _assert_verdicts_identical(family.name, baseline, closure.check(trace), "closure path")
     for single, via_batch in zip([compiled.check(t) for t in batch], compiled.check_batch(batch)):
         _assert_verdicts_identical(family.name, single, via_batch, "stacked check_batch")
 
@@ -209,12 +181,8 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
         "cycles": len(trace),
         "interp_checks_per_s": round(1.0 / interp_s, 2),
         "compiled_checks_per_s": round(1.0 / compiled_s, 2),
-        "walk_checks_per_s": round(1.0 / walk_s, 2),
-        "closure_checks_per_s": round(1.0 / closure_s, 2),
         "lower_ms": round(lower_ms, 3),
         "speedup": round(interp_s / compiled_s, 2),
-        "vector_speedup": round(closure_s / walk_s, 3),
-        "attempt_speedup": round(walk_s / compiled_s, 3),
         "batch_speedup": round(sequential_s / batched_s, 3),
     }
 
@@ -259,18 +227,6 @@ def main() -> int:
         help="exit non-zero if the geomean checking speedup falls below this",
     )
     parser.add_argument(
-        "--min-vector-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero if the vectorised-vs-closure geomean falls below this",
-    )
-    parser.add_argument(
-        "--min-attempt-speedup",
-        type=float,
-        default=None,
-        help="exit non-zero if the attempt-tensor-vs-walk geomean falls below this",
-    )
-    parser.add_argument(
         "--min-batch-speedup",
         type=float,
         default=None,
@@ -294,8 +250,7 @@ def main() -> int:
             f"{family.name:<26} {entry['assertions']:>2d} SVAs   "
             f"interp {entry['interp_checks_per_s']:>8.1f} checks/s   "
             f"compiled {entry['compiled_checks_per_s']:>8.1f} checks/s   "
-            f"{entry['speedup']:>5.1f}x  ({entry['attempt_speedup']:.2f}x vs walk, "
-            f"{entry['vector_speedup']:.2f}x vs closure)"
+            f"{entry['speedup']:>5.1f}x  (batch {entry['batch_speedup']:.2f}x)"
         )
     if not micro:
         print("FAIL: no family produced a checkable design")
@@ -306,30 +261,18 @@ def main() -> int:
 
     speedups = [entry["speedup"] for entry in micro.values()]
     geomean = geomean_of(speedups)
-    vector_speedups = [entry["vector_speedup"] for entry in micro.values()]
-    vector_geomean = geomean_of(vector_speedups)
-    attempt_speedups = [entry["attempt_speedup"] for entry in micro.values()]
-    attempt_geomean = geomean_of(attempt_speedups)
     batch_speedups = [entry["batch_speedup"] for entry in micro.values()]
     batch_geomean = geomean_of(batch_speedups)
 
     verifier = bench_verifier(min(args.cycles, 96), families[: args.verifier_cases])
     report = {
-        "schema": "bench_sva/v4",
+        "schema": "bench_sva/v5",
         "host": host_metadata(),
         "cycles_per_family": args.cycles,
         "timing_repeats": args.repeat,
         "microbenchmarks": micro,
         "geomean_speedup": round(geomean, 2),
         "min_speedup": round(min(speedups), 2),
-        "vectorised": {
-            "geomean_speedup": round(vector_geomean, 3),
-            "min_speedup": round(min(vector_speedups), 3),
-        },
-        "attempt_tensor": {
-            "geomean_speedup": round(attempt_geomean, 3),
-            "min_speedup": round(min(attempt_speedups), 3),
-        },
         "batch": {
             "traces": BATCH_TRACES,
             "cycles": BATCH_CYCLES,
@@ -341,11 +284,7 @@ def main() -> int:
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"\ngeomean checking speedup {report['geomean_speedup']}x "
-        f"(min {report['min_speedup']}x); vectorised over closure path "
-        f"{report['vectorised']['geomean_speedup']}x "
-        f"(min {report['vectorised']['min_speedup']}x); attempt tensor over "
-        f"walk {report['attempt_tensor']['geomean_speedup']}x "
-        f"(min {report['attempt_tensor']['min_speedup']}x); stacked seed-trace "
+        f"(min {report['min_speedup']}x); stacked seed-trace "
         f"pass {report['batch']['geomean_speedup']}x "
         f"(min {report['batch']['min_speedup']}x); verifier end-to-end "
         f"{verifier['speedup']}x over {verifier['cases']} cases"
@@ -356,18 +295,6 @@ def main() -> int:
         print(
             f"FAIL: geomean speedup {report['geomean_speedup']}x is below "
             f"the --min-speedup gate of {args.min_speedup}x"
-        )
-        failed = True
-    if args.min_vector_speedup is not None and vector_geomean < args.min_vector_speedup:
-        print(
-            f"FAIL: vectorised geomean {report['vectorised']['geomean_speedup']}x "
-            f"is below the --min-vector-speedup gate of {args.min_vector_speedup}x"
-        )
-        failed = True
-    if args.min_attempt_speedup is not None and attempt_geomean < args.min_attempt_speedup:
-        print(
-            f"FAIL: attempt-tensor geomean {report['attempt_tensor']['geomean_speedup']}x "
-            f"is below the --min-attempt-speedup gate of {args.min_attempt_speedup}x"
         )
         failed = True
     if args.min_batch_speedup is not None and min(batch_speedups) < args.min_batch_speedup:

@@ -36,7 +36,7 @@ they matter to, so edits to them fail (4); assertion edits change assertion
 keys and fail (1).
 
 :func:`lint_screen` is the *unsound but validated* tier used by
-``static_screen=lint|full``: it rejects candidates that introduce new
+``static_screen="full"``: it rejects candidates that introduce new
 error-class structural breakage relative to the base design -- currently a
 signal newly left undriven while still read inside an assertion cone.  The
 screened benchmark leg hard-fails if a lint rejection ever disagrees with

@@ -37,7 +37,7 @@ class VerificationJob:
     #: across backends; "interp" forces the differential oracle).
     checker_backend: str = "auto"
     #: Static screening mode (see :class:`~repro.eval.verifier.VerifierConfig`):
-    #: "off" | "cone" | "lint" | "full".
+    #: "off" | "full".
     static_screen: str = "off"
 
 

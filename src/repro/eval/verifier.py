@@ -144,19 +144,25 @@ class VerifierConfig:
     #: Static screening in front of the simulator:
     #:
     #: * ``"off"`` -- every candidate simulates (the historical path).
-    #: * ``"cone"`` -- candidates whose edit is provably outside every
-    #:   assertion's cone of influence return the case's memoised base
-    #:   verdict without simulating (sound: see
-    #:   :func:`repro.analyze.cone.cone_screen`).
-    #: * ``"lint"`` -- candidates that *introduce* error-class structural
-    #:   breakage (fresh combinational loop, newly undriven signal feeding
-    #:   an assertion cone) are rejected with status ``static_reject``
-    #:   without simulating (validated by the screened benchmark leg).
-    #: * ``"full"`` -- cone first, then lint.
+    #: * ``"full"`` -- two tiers, in order.  The cone tier: a candidate
+    #:   whose edit is provably outside every assertion's cone of
+    #:   influence returns the case's memoised base verdict without
+    #:   simulating (sound: see :func:`repro.analyze.cone.cone_screen`).
+    #:   The lint tier: a candidate that *introduces* error-class
+    #:   structural breakage (fresh combinational loop, newly undriven
+    #:   signal feeding an assertion cone) is rejected with status
+    #:   ``static_reject`` without simulating (validated by the screened
+    #:   benchmark leg).
     #:
-    #: Any mode other than "off" gets its own verdict-cache keyspace, so
-    #: screened outcomes can never be served to unscreened runs.
+    #: ``"full"`` gets its own verdict-cache keyspace, so screened outcomes
+    #: can never be served to unscreened runs.
     static_screen: str = "off"
+
+    def __post_init__(self) -> None:
+        if self.static_screen not in ("off", "full"):
+            raise ValueError(
+                f"unknown static_screen '{self.static_screen}' (expected 'off' or 'full')"
+            )
 
 
 class SemanticVerifier:
@@ -382,7 +388,6 @@ class SemanticVerifier:
         """
         from repro.analyze.cone import cone_screen, lint_screen
 
-        mode = self.config.static_screen
         base_design = self._design_of(buggy_source)
         patched_design = self._design_of(patched_source)
         if base_design is None or patched_design is None:
@@ -393,31 +398,29 @@ class SemanticVerifier:
         with phase("verify.screen"):
             base_dfg = self._dfg_of(base_design)
             patched_dfg = self._dfg_of(patched_design)
-            if mode in ("cone", "full"):
-                decision = cone_screen(base_dfg, patched_dfg)
-                if decision.overlap:
-                    registry.inc("analyze.cone.overlap")
-                if decision.skip:
-                    base_verdict = self._base_verdict(buggy_source, seeds, cycles)
-                    # Refuse to skip onto anything but a clean simulation
-                    # outcome: a sim_error or compile_fail base says the
-                    # *base* is broken, not that the equality argument holds.
-                    if base_verdict.status in ("pass", "assertion_fail"):
-                        registry.inc("analyze.cone.skip")
-                        verdict = RepairVerdict.from_dict(base_verdict.to_dict())
-                        verdict.provenance = "cone_skip"
-                        return verdict
-            if mode in ("lint", "full"):
-                rejections = lint_screen(base_dfg, patched_dfg)
-                if rejections:
-                    registry.inc("analyze.screen.reject")
-                    return RepairVerdict(
-                        status="static_reject",
-                        seeds=seeds,
-                        cycles=cycles,
-                        detail="; ".join(r.message for r in rejections),
-                        provenance="static_reject",
-                    )
+            decision = cone_screen(base_dfg, patched_dfg)
+            if decision.overlap:
+                registry.inc("analyze.cone.overlap")
+            if decision.skip:
+                base_verdict = self._base_verdict(buggy_source, seeds, cycles)
+                # Refuse to skip onto anything but a clean simulation
+                # outcome: a sim_error or compile_fail base says the
+                # *base* is broken, not that the equality argument holds.
+                if base_verdict.status in ("pass", "assertion_fail"):
+                    registry.inc("analyze.cone.skip")
+                    verdict = RepairVerdict.from_dict(base_verdict.to_dict())
+                    verdict.provenance = "cone_skip"
+                    return verdict
+            rejections = lint_screen(base_dfg, patched_dfg)
+            if rejections:
+                registry.inc("analyze.screen.reject")
+                return RepairVerdict(
+                    status="static_reject",
+                    seeds=seeds,
+                    cycles=cycles,
+                    detail="; ".join(r.message for r in rejections),
+                    provenance="static_reject",
+                )
         return None
 
     def verify_source(
@@ -507,7 +510,7 @@ class SemanticVerifier:
                     random_cycles=cycles, reset_cycles=self.config.reset_cycles
                 )
                 # Column recording streams per-signal (value, xmask) change
-                # events into the trace while simulating, so the vectorised
+                # events into the trace while simulating, so the compiled
                 # checker's columnar view costs O(changes) per seed and the
                 # trace never needs to materialise per-cycle dicts; each
                 # candidate's columns are then built once per trace inside

@@ -3,8 +3,8 @@
 The report answers the questions the raw JSONL cannot at a glance: where
 did the wall clock go (per-stage span table), which individual jobs were
 slow (top-N), did the cache help (hit rates), which SVA engine actually
-ran each assertion and why the vectorised one was skipped (fallback
-reasons), and what the fault machinery did (retries / timeouts /
+ran each assertion and why the tensor was skipped (fallback reasons),
+and what the fault machinery did (retries / timeouts /
 quarantines / pool rebuilds).  ``python -m repro.obs summarize <trace>``
 prints it.
 """
@@ -35,17 +35,11 @@ _CACHE_COUNTERS = (
     "relower.nodes_lowered",
     "relower.assertions_reused",
 )
-_ENGINE_COUNTERS = (
-    "sva.lower.vectorised",
-    "sva.lower.closure",
-    "sva.lower.tree_walker",
-    "sva.check.vectorised",
-    "sva.check.closure",
-    "sva.check.tree_walker",
-    "sva.check.attempt_tensor",
-    "sva.attempt.tensor",
-    "sva.attempt.walk",
-    "sva.attempt.tree_walker",
+#: The compiled checker's two engines: the attempt tensor, and the
+#: tree-walking oracle it falls back to.
+_SVA_ENGINES = ("tensor", "tree_walker")
+_ENGINE_COUNTERS = tuple(
+    f"sva.{layer}.{engine}" for layer in ("lower", "check") for engine in _SVA_ENGINES
 )
 _FAULT_COUNTERS = (
     "runtime.retries",
@@ -186,60 +180,33 @@ def render_report(data: TraceData, top: int = 10) -> str:
     consumed.update(_CACHE_COUNTERS)
 
     engine_totals = {
-        engine: counters.get(f"sva.lower.{engine}", 0)
-        for engine in ("vectorised", "closure", "tree_walker")
+        engine: counters.get(f"sva.lower.{engine}", 0) for engine in _SVA_ENGINES
     }
     fallbacks = {
         label: value
         for key, value in counters.items()
         for name, label in (split_label(key),)
-        if name == "sva.vector_fallback" and label is not None
+        if name == "sva.fallback" and label is not None
     }
-    attempt_fallbacks = {
-        label: value
-        for key, value in counters.items()
-        for name, label in (split_label(key),)
-        if name == "sva.attempt_fallback" and label is not None
-    }
-    consumed.update(
-        key
-        for key in counters
-        if split_label(key)[0] in ("sva.vector_fallback", "sva.attempt_fallback")
-    )
+    consumed.update(key for key in counters if split_label(key)[0] == "sva.fallback")
     consumed.update(_ENGINE_COUNTERS)
-    attempt_totals = {
-        engine: counters.get(f"sva.attempt.{engine}", 0)
-        for engine in ("tensor", "walk", "tree_walker")
-    }
-    if any(engine_totals.values()) or fallbacks or any(attempt_totals.values()):
+    if any(engine_totals.values()) or fallbacks:
         lines += ["", "sva engines (assertions lowered):"]
         lines.append(
             "  " + " · ".join(f"{k} {v}" for k, v in engine_totals.items())
         )
         checks = {
-            engine: counters.get(f"sva.check.{engine}", 0)
-            for engine in ("attempt_tensor", "vectorised", "closure", "tree_walker")
+            engine: counters.get(f"sva.check.{engine}", 0) for engine in _SVA_ENGINES
         }
         if any(checks.values()):
             lines.append(
                 "  checked: "
                 + " · ".join(f"{k} {v}" for k, v in checks.items())
             )
-        if any(attempt_totals.values()):
-            lines.append(
-                "  attempt engines: "
-                + " · ".join(f"{k} {v}" for k, v in attempt_totals.items())
-            )
         if fallbacks:
-            lines.append("  vectorisation fallback reasons:")
+            lines.append("  fallback reasons:")
             for label, value in sorted(
                 fallbacks.items(), key=lambda item: (-item[1], item[0])
-            ):
-                lines.append(f"    {value:>4}  {label}")
-        if attempt_fallbacks:
-            lines.append("  attempt-tensor fallback reasons:")
-            for label, value in sorted(
-                attempt_fallbacks.items(), key=lambda item: (-item[1], item[0])
             ):
                 lines.append(f"    {value:>4}  {label}")
 

@@ -464,15 +464,9 @@ class _ExprCompiler:
 
             return clog2
         # Sampled-value functions ($past, $rose, ...) only appear inside
-        # assertions, which the simulator never executes; the SVA checker
-        # backend subclasses this compiler and lowers them to per-cycle
-        # series (repro.sva.compile) before falling through to here.
+        # assertions, which the simulator never executes (the SVA checker
+        # lowers them itself, in repro.sva.vector).
         raise CompileError(f"unsupported system function '{name}'")
-
-
-#: Public name of the expression lowering, the extension point the compiled
-#: SVA checker (:mod:`repro.sva.compile`) builds on.
-ExprCompiler = _ExprCompiler
 
 
 # --------------------------------------------------------------------------- #

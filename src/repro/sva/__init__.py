@@ -9,13 +9,13 @@ everything that happens *after* parsing:
   the reference backend / differential oracle; the :func:`CheckerBackend`
   factory dispatches to the compiled backend by default.
 * :mod:`repro.sva.compile` -- the compiled checking backend: assertions
-  lowered once per design into closures over flat per-cycle arrays, with
-  precomputed sampled-value series and a disable-iff prefix mask.
-* :mod:`repro.sva.vector` -- the vectorised series engine the compiled
-  backend uses by default: element booleans and sampled-value series as
-  whole-trace numpy array expressions over the columnar trace view
-  (``Trace.columns()``), with a per-assertion fallback to the closure
-  path for constructs it refuses.
+  lowered once per design and resolved by the attempt tensor, with a
+  per-assertion fallback to the tree-walker for constructs the lowering
+  refuses.
+* :mod:`repro.sva.vector` -- the engine the compiled backend runs: element
+  booleans and sampled-value series as whole-trace numpy array expressions
+  over the columnar trace view (``Trace.columns()``), and the
+  (attempt x cycle) tensor that resolves every attempt at once.
 * :mod:`repro.sva.logs` -- format assertion-failure logs in the style the
   paper's dataset records ("failed assertion <module>.<name>").
 * :mod:`repro.sva.generator` -- mine candidate assertions from a golden

@@ -23,8 +23,8 @@ Two checker backends implement these semantics:
 * :class:`AssertionChecker` (this module) -- the tree-walking reference
   implementation, kept as the differential-testing oracle;
 * :class:`repro.sva.compile.CompiledAssertionChecker` -- lowers every
-  assertion once per design into closures over flat per-cycle arrays,
-  the way :mod:`repro.sim.compile` lowers designs.
+  assertion once per design into whole-array numpy expressions over the
+  trace's columns and resolves all attempts as one tensor pass.
 
 Use the :func:`CheckerBackend` factory (or :func:`check_assertions`, which
 routes through the process-wide compiled-artifact cache) unless you need a
@@ -463,7 +463,7 @@ def check_assertions(
     fingerprint and the backend name: callers that check the same design --
     or *any* equal-fingerprint elaboration of it -- on several traces pay
     the one-off assertion lowering once, and the cache's LRU bound means
-    lowered closures no longer live exactly as long as the design object
+    lowered checkers no longer live exactly as long as the design object
     that happened to first reach this helper.
     """
     from repro.artifacts import default_store

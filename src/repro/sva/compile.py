@@ -6,50 +6,34 @@ every cycle, of every attempt, of every assertion.  With the simulator
 compiled (:mod:`repro.sim.compile`) and verification fanning out per
 candidate, that re-evaluation is the hot path of the whole repair loop.
 
-This backend applies the same lowering recipe to assertions:
+This backend has one engine, the **attempt tensor**:
 
-* every boolean-layer expression is compiled **once per design** into a
-  closure over flat per-cycle integer arrays, reusing the simulator's
-  expression lowering (:class:`~repro.sim.compile.ExprCompiler`);
-* on top of that, each assertion is **vector-lowered** where possible
-  (:mod:`repro.sva.vector`): element expressions and sampled-value series
-  are evaluated as whole-trace numpy array expressions over the trace's
-  columnar view (:meth:`~repro.sim.trace.Trace.columns`), so the per-cycle
-  work drops from one closure-tree call per element per cycle to a handful
-  of array operations per element per trace;
+* every assertion is lowered **once per design** to whole-array numpy
+  expressions (:mod:`repro.sva.vector`) over the trace's columnar view
+  (:meth:`~repro.sim.trace.Trace.columns`), so each element expression is
+  a handful of array operations per trace instead of one evaluation per
+  cycle per attempt;
 * sampled-value functions (``$past``/``$rose``/``$fell``/``$stable``/
-  ``$changed``) are lowered to **precomputed per-cycle series**: shifted
-  array views on the vectorised path, one argument evaluation per cycle on
-  the closure path -- never twice per attempt per cycle;
-* ``disable iff`` becomes a prefix-count mask (``np.cumsum`` on the
-  vectorised path), so the "was the attempt disabled anywhere in
-  [start, end]" question is O(1) instead of the tree-walker's
-  O(attempt-span) rescan per attempt;
-* attempt evaluation **shares the per-cycle boolean results across all
-  start cycles**: each element expression is evaluated exactly once per
-  cycle, and on the vectorised path the per-attempt resolution itself is a
-  whole-array computation (:func:`repro.sva.vector.walk_attempts_tensor`)
-  over (attempt x cycle) masks -- antecedent-start vectors, delay-window
-  shifts, disable prefix masks and pass/fail/vacuous bucketing for every
-  start cycle in one numpy expression.  The pure-indexing Python walk
-  (:meth:`CompiledAssertionChecker._walk_attempts`) remains as the
-  differential oracle for the tensor and as the closure path's resolver;
+  ``$changed``) are shifted array views of their argument series;
+* ``disable iff`` becomes a prefix-count mask (``np.cumsum``), so the "was
+  the attempt disabled anywhere in [start, end]" question is O(1) instead
+  of the tree-walker's O(attempt-span) rescan per attempt;
+* attempt resolution is a whole-array computation
+  (:func:`repro.sva.vector.walk_attempts_tensor`) over (attempt x cycle)
+  masks -- antecedent-start vectors, delay-window shifts, disable prefix
+  masks and pass/fail/vacuous bucketing for every start cycle at once;
 * :meth:`CompiledAssertionChecker.check_batch` **stacks the per-seed
   columnar views** of a batch into one padded (seed x cycle) grid and runs
-  each vectorised assertion's element expressions and attempt tensor once
-  for the whole batch, masked to the ragged per-trace lengths -- the
-  verifier's remaining-seeds pass is one numpy evaluation per assertion,
-  not one per seed.
+  each assertion's element expressions and attempt tensor once for the
+  whole batch, masked to the ragged per-trace lengths -- the verifier's
+  remaining-seeds pass is one numpy evaluation per assertion, not one per
+  seed.
 
-The fallback chain is per assertion: **attempt tensor -> vectorised series
-+ Python walk -> per-cycle closures + walk -> tree-walking oracle**.  The
-tensor runs exactly where the series vectorisation runs (its refusal
-conditions are the vector lowering's, plus the ``attempt_tensor=False``
-knob); an assertion the vector lowering refuses (dynamic part selects,
->63-bit operands, ...) uses the closures; an assertion the closure
-lowering rejects uses the oracle; a trace that lacks a referenced signal
-falls back to the oracle for the whole call.  All levels are
-outcome-identical by construction plus differential testing
+An assertion the vector lowering refuses (dynamic part selects, >63-bit
+operands, ...) is checked by the tree-walking oracle instead, with the
+refusing construct recorded as the reason; a trace that lacks a referenced
+signal is checked by the oracle for the whole call.  The tensor and the
+oracle are outcome-identical, pinned by the differential suites
 (`tests/test_sva_compile`, `tests/test_trace_columns`): attempts,
 antecedent matches, passes, vacuous/pending/disabled counts and every
 failure's start and failing cycle agree.  Use the
@@ -58,248 +42,87 @@ failure's start and failing cycle agree.  Use the
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign
 from repro.obs.metrics import get_registry, labeled
-from repro.sim.compile import CompileError, ExprCompiler
-from repro.sim.engine import SimulationError
+from repro.sim.compile import CompileError
 from repro.sim.trace import Trace
 from repro.sva import vector as sva_vector
-from repro.sva.checker import (
-    SAMPLED_VALUE_FUNCTIONS,
-    AssertionChecker,
-    AssertionFailure,
-    AssertionOutcome,
-    CheckReport,
-    infer_expression_width,
-    sampled_past_depth,
-)
-
-#: A value triple on the compiled path: (value, xmask, width).
-ValueTriple = tuple[int, int, int]
-
-#: One fully-unknown bit, the tree-walker's "evaluation failed" sentinel.
-_UNKNOWN_BIT: ValueTriple = (0, 1, 1)
-
-
-class _SampledRegistry:
-    """Per-assertion registry of precomputed sampled-value series.
-
-    A sampled call compiles to a closure that reads ``series[index]`` at the
-    cycle held in ``cycle_cell``; the series themselves are (re)built once
-    per trace by :meth:`fill`.  Builders are appended in dependency order --
-    a nested sampled call is compiled (and therefore registered) before the
-    call containing it -- so filling in registration order always finds the
-    series a builder reads already computed.
-    """
-
-    def __init__(self) -> None:
-        self.cycle_cell: list[int] = [0]
-        self.builders: list[Callable[[list, list, int], list[ValueTriple]]] = []
-        self.series: list[list[ValueTriple]] = []
-
-    def fill(self, rows_v: list, rows_x: list, n: int) -> None:
-        for index, build in enumerate(self.builders):
-            self.series[index] = build(rows_v, rows_x, n)
-
-    def release(self) -> None:
-        """Drop the per-trace series (mutating in place: closures hold the list)."""
-        for index in range(len(self.series)):
-            self.series[index] = []
-
-    def lower(self, call: ast.SystemCall, compiler: "_SvaExprCompiler",
-              design: ElaboratedDesign) -> Callable:
-        name = call.name
-        if not call.args:
-            # Mirrors the tree-walker's missing-argument guard: unknown(1).
-            return lambda val, xm: _UNKNOWN_BIT
-        argument = call.args[0]
-        arg_fn = compiler.compile(argument)
-        arg_width = infer_expression_width(argument, design)
-        unknown_arg: ValueTriple = (0, (1 << arg_width) - 1, arg_width)
-        cell = self.cycle_cell
-
-        def eval_arg(rows_v: list, rows_x: list, t: int) -> ValueTriple:
-            """The argument sampled at cycle ``t`` (tree-walker's value_at)."""
-            if t < 0:
-                return unknown_arg
-            cell[0] = t
-            try:
-                return arg_fn(rows_v[t], rows_x[t])
-            except SimulationError:
-                return _UNKNOWN_BIT
-
-        if name == "$past":
-            depth = sampled_past_depth(call, design.parameters)
-
-            def build(rows_v: list, rows_x: list, n: int) -> list[ValueTriple]:
-                return [eval_arg(rows_v, rows_x, c - depth) for c in range(n)]
-
-        else:
-            # $rose/$fell compare bit 0; $stable/$changed compare the value.
-            def build(rows_v: list, rows_x: list, n: int, name=name) -> list[ValueTriple]:
-                current = [eval_arg(rows_v, rows_x, c) for c in range(n)]
-                out: list[ValueTriple] = []
-                previous = unknown_arg
-                for cur in current:
-                    if cur[1] or previous[1]:
-                        out.append(_UNKNOWN_BIT)
-                    elif name == "$rose":
-                        out.append((int((cur[0] & 1) == 1 and (previous[0] & 1) == 0), 0, 1))
-                    elif name == "$fell":
-                        out.append((int((cur[0] & 1) == 0 and (previous[0] & 1) == 1), 0, 1))
-                    elif name == "$stable":
-                        out.append((int(cur[0] == previous[0]), 0, 1))
-                    else:  # $changed
-                        out.append((int(cur[0] != previous[0]), 0, 1))
-                    previous = cur
-                return out
-
-        index = len(self.builders)
-        self.builders.append(build)
-        self.series.append([])
-        series = self.series
-        return lambda val, xm, index=index, series=series, cell=cell: series[index][cell[0]]
-
-
-class _SvaExprCompiler(ExprCompiler):
-    """The simulator's expression lowering, extended with sampled values.
-
-    Everything else -- operators, selects, concats, the synthesisable system
-    functions -- is inherited unchanged, which is what keeps the two checker
-    backends' boolean layers behaviourally identical for free (the simulator
-    differential suite already pins the lowering against the evaluator).
-    """
-
-    def __init__(self, design: ElaboratedDesign, slots: dict[str, int],
-                 registry: _SampledRegistry):
-        super().__init__(design, slots)
-        self._registry = registry
-
-    def _compile_system_call(self, expr: ast.SystemCall):
-        if expr.name in SAMPLED_VALUE_FUNCTIONS:
-            return self._registry.lower(expr, self, self._design)
-        return super()._compile_system_call(expr)
+from repro.sva.checker import AssertionChecker, AssertionOutcome, CheckReport
 
 
 class _LoweredAssertion:
-    """One assertion lowered to element closures plus attempt-shape metadata."""
+    """One assertion lowered to whole-array element functions plus
+    attempt-shape metadata."""
 
-    __slots__ = ("spec", "registry", "element_fns", "antecedent", "consequent",
-                 "disable_index", "overlapping", "vector_fns")
+    __slots__ = ("spec", "antecedent", "consequent", "disable_index", "overlapping",
+                 "vector_fns")
 
-    def __init__(self, spec: AssertionSpec, registry: _SampledRegistry,
-                 element_fns: list, antecedent: Optional[list], consequent: list,
-                 disable_index: Optional[int],
-                 vector_fns: Optional[list] = None):
+    def __init__(self, spec: AssertionSpec, antecedent: Optional[list], consequent: list,
+                 disable_index: Optional[int], vector_fns: list):
         self.spec = spec
-        self.registry = registry
-        #: Compiled boolean-layer expressions, indexed by the pairs below.
-        self.element_fns = element_fns
         #: [(cumulative delay offset, element index)] or None for no antecedent.
         self.antecedent = antecedent
         self.consequent = consequent
         self.disable_index = disable_index
         self.overlapping = spec.body.overlapping
-        #: Whole-array (fn, width) pairs, same indexing as element_fns, or
-        #: None when this assertion runs on the per-cycle closure path.
+        #: Whole-array (fn, width) pairs, indexed by the pairs above.
         self.vector_fns = vector_fns
-
-
-class _PreparedTrace:
-    """One trace's per-call state: columns and/or rows, built at most once.
-
-    Both representations are lazy: columns (the vectorised one) are built by
-    the first vector-lowered assertion, rows (the per-cycle closure one) by
-    the first fallback-path assertion.  A check that only touches one path
-    builds only that representation, and an all-vectorised design never
-    materialises per-cycle sample dicts at all (a DiffTrace stays in diff
-    form).  Signal availability was probed up front (``has_signals``), so
-    the lazy builds cannot fail.
-    """
-
-    __slots__ = ("trace", "cycles", "_cols", "_rows", "_checker")
-
-    def __init__(self, checker: "CompiledAssertionChecker", trace: Trace):
-        self._checker = checker
-        self.trace = trace
-        self.cycles = len(trace)
-        self._cols: Optional[tuple[list, list]] = None
-        self._rows: Optional[tuple[list, list]] = None
-
-    def cols(self) -> tuple[list, list]:
-        if self._cols is None:
-            columns = self.trace.columns(self._checker._names)
-            names = self._checker._names
-            self._cols = (
-                [columns.values[name] for name in names],
-                [columns.xmasks[name] for name in names],
-            )
-        return self._cols
-
-    def rows(self) -> tuple[list, list]:
-        if self._rows is None:
-            rows = self._checker._trace_rows(self.trace)
-            if rows is None:  # pragma: no cover - membership was pre-probed
-                raise KeyError("trace rows unavailable")
-            self._rows = rows
-        return self._rows
 
 
 class _StackedColumns:
     """A batch's per-seed columns stacked into one padded (seed x cycle) grid.
 
-    Built lazily by the first attempt-tensor assertion of a
+    Built lazily by the first lowered assertion of a
     :meth:`CompiledAssertionChecker.check_batch` call and shared by all of
-    them.  Each referenced signal becomes one ``(seeds, max_cycles)`` array
-    pair; rows shorter than the grid are padded with ``(0, 0)`` cells,
-    which the tensor walk masks against the true per-row lengths before
-    any truth test (see :func:`repro.sva.vector.walk_attempts_tensor`).
-    A single-trace batch skips the copy entirely: its 1-D columns are
-    reshaped ``(1, cycles)`` views.
+    them, so a batch whose assertions all run on the oracle never builds
+    columns at all (a DiffTrace stays in diff form).  Each referenced
+    signal becomes one ``(seeds, max_cycles)`` array pair; rows shorter
+    than the grid are padded with ``(0, 0)`` cells, which the tensor walk
+    masks against the true per-row lengths before any truth test (see
+    :func:`repro.sva.vector.walk_attempts_tensor`).  A single-trace batch
+    skips the copy entirely: its 1-D columns are reshaped ``(1, cycles)``
+    views.
     """
 
-    __slots__ = ("_checker", "_preps", "_built")
+    __slots__ = ("_names", "_traces", "_built")
 
-    def __init__(self, checker: "CompiledAssertionChecker",
-                 preps: list["_PreparedTrace"]):
-        self._checker = checker
-        self._preps = preps
+    def __init__(self, names: list[str], traces: list[Trace]):
+        self._names = names
+        self._traces = traces
         self._built: Optional[tuple[list, list, np.ndarray, tuple]] = None
 
     def stack(self) -> tuple[list, list, np.ndarray, tuple]:
         """``(values, xmasks, lengths, shape)`` -- per-slot stacked lanes."""
         if self._built is None:
-            preps = self._preps
-            lengths = np.array([prep.cycles for prep in preps], dtype=np.int64)
-            if len(preps) == 1:
-                cols_v, cols_x = preps[0].cols()
-                stacked_v = [np.asarray(col)[None, :] for col in cols_v]
-                stacked_x = [np.asarray(col)[None, :] for col in cols_x]
+            names = self._names
+            per_trace = [trace.columns(names) for trace in self._traces]
+            lengths = np.array([len(trace) for trace in self._traces], dtype=np.int64)
+            if len(per_trace) == 1:
+                columns = per_trace[0]
+                stacked_v = [np.asarray(columns.values[name])[None, :] for name in names]
+                stacked_x = [np.asarray(columns.xmasks[name])[None, :] for name in names]
                 shape = (1, int(lengths[0]))
             else:
-                per_trace = [prep.cols() for prep in preps]
-                rows = len(preps)
-                width = int(lengths.max()) if rows else 0
-                shape = (rows, width)
+                shape = (len(per_trace), int(lengths.max()))
                 stacked_v, stacked_x = [], []
-                for slot in range(len(self._checker._names)):
+                for name in names:
                     # Wide (>63-bit) signals carry object-dtype columns;
-                    # only non-vectorised assertions reference them, so the
+                    # only oracle-checked assertions reference them, so the
                     # stacked twin exists purely to keep slots aligned.
                     dtype = np.int64
-                    if any(tv[slot].dtype == object for tv, _tx in per_trace):
+                    if any(columns.values[name].dtype == object for columns in per_trace):
                         dtype = object
                     slot_v = np.zeros(shape, dtype=dtype)
                     slot_x = np.zeros(shape, dtype=dtype)
-                    for row, (trace_v, trace_x) in enumerate(per_trace):
+                    for row, columns in enumerate(per_trace):
                         cycles = int(lengths[row])
-                        slot_v[row, :cycles] = trace_v[slot]
-                        slot_x[row, :cycles] = trace_x[slot]
+                        slot_v[row, :cycles] = columns.values[name]
+                        slot_x[row, :cycles] = columns.xmasks[name]
                     stacked_v.append(slot_v)
                     stacked_x.append(slot_x)
             self._built = (stacked_v, stacked_x, lengths, shape)
@@ -310,25 +133,17 @@ class CompiledAssertionChecker:
     """Drop-in replacement for :class:`~repro.sva.checker.AssertionChecker`.
 
     Lowers every assertion of ``design`` once at construction; each
-    :meth:`check` call then costs one expression evaluation per element per
-    cycle plus a pure-indexing attempt walk, independent of how many
-    attempts overlap each cycle.
+    :meth:`check` call then costs a handful of array operations per element
+    plus one whole-array attempt resolution per assertion, independent of
+    how many attempts overlap each cycle.
     """
 
     def __init__(self, design: ElaboratedDesign, strict: bool = False,
-                 vectorise: bool = True, attempt_tensor: bool = True,
                  base: Optional["CompiledAssertionChecker"] = None):
         from repro.artifacts.canon import assertion_key
 
         self._design = design
         self._oracle = AssertionChecker(design)
-        #: False forces the per-cycle closure path even for assertions the
-        #: vector lowering supports (the benchmark's like-for-like leg).
-        self._vectorise = vectorise
-        #: False keeps vectorised assertions on the Python attempt walk
-        #: (the tensor's differential oracle and benchmark baseline).  Only
-        #: meaningful with ``vectorise``: the tensor consumes vector lanes.
-        self._attempt_tensor = attempt_tensor and vectorise
         referenced: set[str] = set()
         for spec in design.assertions:
             referenced |= spec.identifiers()
@@ -349,11 +164,10 @@ class CompiledAssertionChecker:
         if base is not None and not self._reuse_compatible(base):
             base = None
         base_index = base._spec_index if base is not None else {}
-        #: Per-assertion engine decision: name -> {"engine": "vectorised" |
-        #: "closure" | "tree_walker", "reason": why it was demoted (None for
-        #: the vectorised engine)}.  A vectorisation regression used to be
-        #: invisible -- the checker silently fell back and only a 2.6x
-        #: slowdown hinted at it; now every demotion carries its reason.
+        #: Per-assertion engine decision: name -> {"engine": "tensor" |
+        #: "tree_walker", "reason": the construct the lowering refused (None
+        #: for the tensor)}.  Every demotion carries its reason, so a
+        #: lowering regression is visible, not just a slowdown.
         self.engine_choices: dict[str, dict] = {}
         failed: list[str] = []
         for spec in design.assertions:
@@ -378,17 +192,12 @@ class CompiledAssertionChecker:
     def _reuse_compatible(self, base: "CompiledAssertionChecker") -> bool:
         """Whether ``base``'s lowered assertions can be reused here.
 
-        Lowered element closures capture slot indices into this checker's
+        Lowered element functions capture slot indices into this checker's
         private signal table plus signal widths and parameter values, so
         reuse needs all three to match (the table only covers signals the
         assertions reference, which one-line logic repairs never change).
         """
-        if not isinstance(base, CompiledAssertionChecker):
-            return False
-        if base._vectorise != self._vectorise or base._names != self._names:
-            return False
-        if base._attempt_tensor != self._attempt_tensor:
-            # Cached engine choices carry the attempt-engine decision too.
+        if not isinstance(base, CompiledAssertionChecker) or base._names != self._names:
             return False
         for name in self._names:
             if base._design.signals[name].width != self._design.signals[name].width:
@@ -400,32 +209,16 @@ class CompiledAssertionChecker:
         return self._design
 
     def engine_report(self) -> dict:
-        """Which engines handle each assertion, and why any was demoted.
-
-        Covers both layers of the fallback chain: the series engine
-        (``engines`` / ``fallback_reasons``) and the attempt engine
-        (``attempt_engines`` / ``attempt_fallback_reasons``), so a demotion
-        off the attempt tensor is as visible as one off the vectorised
-        series -- no silent drop to the Python walk.
-        """
-        counts = {"vectorised": 0, "closure": 0, "tree_walker": 0}
-        attempt_counts = {"tensor": 0, "walk": 0, "tree_walker": 0}
+        """Which engine handles each assertion, and why any was demoted."""
+        counts = {"tensor": 0, "tree_walker": 0}
         reasons: dict[str, int] = {}
-        attempt_reasons: dict[str, int] = {}
         for choice in self.engine_choices.values():
             counts[choice["engine"]] += 1
             if choice["reason"]:
                 reasons[choice["reason"]] = reasons.get(choice["reason"], 0) + 1
-            attempt_counts[choice["attempt_engine"]] += 1
-            if choice["attempt_reason"]:
-                attempt_reasons[choice["attempt_reason"]] = (
-                    attempt_reasons.get(choice["attempt_reason"], 0) + 1
-                )
         return {
             "engines": counts,
             "fallback_reasons": dict(sorted(reasons.items())),
-            "attempt_engines": attempt_counts,
-            "attempt_fallback_reasons": dict(sorted(attempt_reasons.items())),
             "assertions": {
                 name: dict(choice)
                 for name, choice in sorted(self.engine_choices.items())
@@ -434,87 +227,47 @@ class CompiledAssertionChecker:
 
     def _record_engine(self, spec: AssertionSpec, engine: str,
                        reason: Optional[str]) -> None:
-        # The attempt-engine decision is fully determined by the series
-        # engine plus the attempt_tensor knob: the tensor consumes the
-        # vector lanes, so whatever demotes the series demotes it too.
-        if engine == "vectorised":
-            if self._attempt_tensor:
-                attempt_engine, attempt_reason = "tensor", None
-            else:
-                attempt_engine, attempt_reason = "walk", "attempt tensor disabled"
-        elif engine == "closure":
-            attempt_engine = "walk"
-            attempt_reason = f"series engine is closure: {reason}"
-        else:
-            attempt_engine, attempt_reason = "tree_walker", reason
-        self.engine_choices[spec.name] = {
-            "engine": engine,
-            "reason": reason,
-            "attempt_engine": attempt_engine,
-            "attempt_reason": attempt_reason,
-        }
+        self.engine_choices[spec.name] = {"engine": engine, "reason": reason}
         registry = get_registry()
         registry.inc(f"sva.lower.{engine}")
-        if engine == "closure" and reason:
-            registry.inc(labeled("sva.vector_fallback", reason))
-        registry.inc(f"sva.attempt.{attempt_engine}")
-        if attempt_reason:
-            registry.inc(labeled("sva.attempt_fallback", attempt_reason))
+        if reason:
+            registry.inc(labeled("sva.fallback", reason))
 
     # ------------------------------------------------------------------ #
     # lowering
     # ------------------------------------------------------------------ #
 
     def _lower(self, spec: AssertionSpec) -> Optional[_LoweredAssertion]:
-        registry = _SampledRegistry()
-        compiler = _SvaExprCompiler(self._design, self._slots, registry)
-        element_fns: list = []
-        element_exprs: list[ast.Expression] = []
+        expressions: list[ast.Expression] = []
 
         def lower_sequence(sequence: ast.SvaSequence) -> list[tuple[int, int]]:
             items: list[tuple[int, int]] = []
             offset = 0
             for element in sequence.elements:
                 offset += element.delay
-                items.append((offset, len(element_fns)))
-                element_fns.append(compiler.compile(element.expr))
-                element_exprs.append(element.expr)
+                items.append((offset, len(expressions)))
+                expressions.append(element.expr)
             return items
 
-        try:
-            antecedent = (
-                lower_sequence(spec.body.antecedent)
-                if spec.body.antecedent is not None
-                else None
-            )
-            consequent = lower_sequence(spec.body.consequent)
-            disable_index = None
-            if spec.disable_iff is not None:
-                disable_index = len(element_fns)
-                element_fns.append(compiler.compile(spec.disable_iff))
-                element_exprs.append(spec.disable_iff)
-        except CompileError as exc:
-            self._record_engine(spec, "tree_walker", f"closure lowering failed: {exc}")
-            return None
-        # Closure lowering succeeded; try the whole-array lowering on top.
-        # A refusal keeps this assertion on the closure path, with the
-        # refusing construct recorded as the demotion reason.
-        vector_fns = None
-        if self._vectorise:
-            try:
-                vector_fns = sva_vector.lower_elements(
-                    self._design, self._slots, element_exprs
-                )
-            except sva_vector.VectorError as exc:
-                self._record_engine(spec, "closure", str(exc))
-            else:
-                self._record_engine(spec, "vectorised", None)
-        else:
-            self._record_engine(spec, "closure", "vectorisation disabled")
-        return _LoweredAssertion(
-            spec, registry, element_fns, antecedent, consequent, disable_index,
-            vector_fns,
+        antecedent = (
+            lower_sequence(spec.body.antecedent)
+            if spec.body.antecedent is not None
+            else None
         )
+        consequent = lower_sequence(spec.body.consequent)
+        disable_index = None
+        if spec.disable_iff is not None:
+            disable_index = len(expressions)
+            expressions.append(spec.disable_iff)
+        # A refusal sends this assertion to the oracle, with the refusing
+        # construct recorded as the demotion reason.
+        try:
+            vector_fns = sva_vector.lower_elements(self._design, self._slots, expressions)
+        except sva_vector.VectorError as exc:
+            self._record_engine(spec, "tree_walker", str(exc))
+            return None
+        self._record_engine(spec, "tensor", None)
+        return _LoweredAssertion(spec, antecedent, consequent, disable_index, vector_fns)
 
     # ------------------------------------------------------------------ #
     # checking
@@ -529,38 +282,27 @@ class CompiledAssertionChecker:
     ) -> list[CheckReport]:
         """Check several traces (e.g. one per verification seed) in one pass.
 
-        The lowering is shared by construction; batching adds one
-        per-assertion dispatch (lowered lookup, on-the-fly lowering of
-        foreign specs, series release) for the whole batch instead of one
-        per trace, and each trace's columnar view is built exactly once and
-        shared by every vectorised assertion.  Attempt-tensor assertions go
-        further: the batch's per-seed columns are stacked into one padded
-        (seed x cycle) grid (:class:`_StackedColumns`) and each assertion
-        is resolved for *all* seeds in a single 2-D numpy pass.
+        The batch's per-seed columns are stacked into one padded
+        (seed x cycle) grid (:class:`_StackedColumns`) and each lowered
+        assertion is resolved for *all* seeds in a single 2-D numpy pass.
         Outcome-identical to calling :meth:`check` per trace, in trace
         order, which is what the batch differential test asserts.
         """
         specs = assertions if assertions is not None else self._design.assertions
         registry = get_registry()
         reports: list[CheckReport] = []
-        prepared: list[Optional[_PreparedTrace]] = []
+        live: list[tuple[Trace, CheckReport]] = []
         for trace in traces:
-            prep = self._prepare_trace(trace)
-            if prep is None:
+            if self._has_signals(trace):
+                report = CheckReport()
+                live.append((trace, report))
+            else:
                 # A referenced signal is missing from the trace samples; the
                 # tree-walker's per-expression EvalError semantics apply.
-                reports.append(self._oracle.check(trace, assertions))
+                report = self._oracle.check(trace, assertions)
                 registry.inc("sva.check.tree_walker", len(specs))
-                prepared.append(None)
-            else:
-                reports.append(CheckReport())
-                prepared.append(prep)
-        live = [
-            (prep, report)
-            for prep, report in zip(prepared, reports)
-            if prep is not None
-        ]
-        stacked = _StackedColumns(self, [prep for prep, _ in live]) if live else None
+            reports.append(report)
+        stacked = _StackedColumns(self._names, [trace for trace, _ in live])
         for spec in specs:
             lowered = self._lowered.get(id(spec))
             if lowered is None and id(spec) not in self._lowered:
@@ -569,152 +311,35 @@ class CompiledAssertionChecker:
                 # without caching -- a dead foreign spec's id could be
                 # recycled.
                 lowered = self._lower(spec)
-            if lowered is None:
-                for trace, prep, report in zip(traces, prepared, reports):
-                    if prep is not None:
-                        report.outcomes[spec.name] = self._oracle.check_assertion(spec, trace)
-                        registry.inc("sva.check.tree_walker")
+            if not live:
                 continue
-            try:
-                if (
-                    lowered.vector_fns is not None
-                    and self._attempt_tensor
-                    and stacked is not None
-                ):
-                    registry.inc("sva.check.attempt_tensor", len(live))
-                    outcomes = self._evaluate_tensor(lowered, stacked)
-                    for (_prep, report), outcome in zip(live, outcomes):
-                        report.outcomes[spec.name] = outcome
-                    continue
-                for prep, report in zip(prepared, reports):
-                    if prep is None:
-                        continue
-                    outcome = AssertionOutcome(name=spec.name)
-                    if lowered.vector_fns is not None:
-                        registry.inc("sva.check.vectorised")
-                        report.outcomes[spec.name] = self._evaluate_vector(
-                            lowered, outcome, prep.cols(), prep.cycles
-                        )
-                    else:
-                        registry.inc("sva.check.closure")
-                        rows_v, rows_x = prep.rows()
-                        report.outcomes[spec.name] = self._evaluate_lowered(
-                            lowered, outcome, rows_v, rows_x, prep.cycles
-                        )
-            finally:
-                # A long-lived checker (cached on the design) must not retain
-                # the last trace's sampled-value series between checks.
-                lowered.registry.release()
+            if lowered is None:
+                registry.inc("sva.check.tree_walker", len(live))
+                for trace, report in live:
+                    report.outcomes[spec.name] = self._oracle.check_assertion(spec, trace)
+                continue
+            registry.inc("sva.check.tensor", len(live))
+            for (_trace, report), outcome in zip(live, self._evaluate_tensor(lowered, stacked)):
+                report.outcomes[spec.name] = outcome
         return reports
 
-    def _prepare_trace(self, trace: Trace) -> Optional[_PreparedTrace]:
-        """Lazy per-trace representations, or None when a referenced signal
-        is missing from the trace (the whole-trace oracle fallback, as
-        before -- probed cheaply up front so the lazy builds cannot fail).
+    def _has_signals(self, trace: Trace) -> bool:
+        """Whether every referenced signal is in the trace samples.
 
         A trace whose columns for exactly these signals are already
         memoised skips the membership probe: a successful column build is
         proof the signals exist, and the probe is the dominant per-trace
         setup cost when the same trace is checked repeatedly.
         """
-        if trace.columns_cached(self._names) is None and not trace.has_signals(
+        return trace.columns_cached(self._names) is not None or trace.has_signals(
             self._names
-        ):
-            return None
-        return _PreparedTrace(self, trace)
-
-    def _trace_rows(self, trace: Trace) -> Optional[tuple[list, list]]:
-        """The referenced signals' (value, xmask) columns, one row per cycle.
-
-        Consecutive cycles whose preponed sample dict is shared (a quiet
-        design under :class:`~repro.sim.trace.DiffTrace`) share the row
-        lists too, so quiet traces cost almost nothing to transpose.
-        """
-        names = self._names
-        rows_v: list[list[int]] = []
-        rows_x: list[list[int]] = []
-        prev_pre: Optional[dict] = None
-        row_v: list[int] = []
-        row_x: list[int] = []
-        for cycle in range(len(trace)):
-            pre = trace[cycle].pre_edge
-            if pre is not prev_pre:
-                try:
-                    values = [pre[name] for name in names]
-                except KeyError:
-                    return None
-                row_v = [v.value for v in values]
-                row_x = [v.xmask for v in values]
-                prev_pre = pre
-            rows_v.append(row_v)
-            rows_x.append(row_x)
-        return rows_v, rows_x
-
-    def _evaluate_lowered(
-        self, lowered: _LoweredAssertion, outcome: AssertionOutcome,
-        rows_v: list, rows_x: list, n: int
-    ) -> AssertionOutcome:
-        """Per-cycle closure path: series via one closure call per cycle."""
-        lowered.registry.fill(rows_v, rows_x, n)
-        cell = lowered.registry.cycle_cell
-
-        # One evaluation per element expression per cycle, shared by every
-        # attempt: True / False / None (unknown or evaluation error).
-        series: list[list[Optional[bool]]] = []
-        for fn in lowered.element_fns:
-            column: list[Optional[bool]] = []
-            for c in range(n):
-                cell[0] = c
-                try:
-                    v, x, _w = fn(rows_v[c], rows_x[c])
-                except SimulationError:
-                    column.append(None)
-                    continue
-                column.append(True if v != 0 else (None if x else False))
-            series.append(column)
-
-        # disable iff: a prefix count makes "disabled anywhere in
-        # [start, end]" one subtraction instead of a rescan per attempt.
-        disabled: Optional[list[bool]] = None
-        prefix: Optional[list[int]] = None
-        if lowered.disable_index is not None:
-            disable_column = series[lowered.disable_index]
-            disabled = [value is True for value in disable_column]
-            prefix = [0] * (n + 1)
-            running = 0
-            for c in range(n):
-                if disabled[c]:
-                    running += 1
-                prefix[c + 1] = running
-        return self._walk_attempts(lowered, outcome, series, disabled, prefix, n)
-
-    def _evaluate_vector(
-        self, lowered: _LoweredAssertion, outcome: AssertionOutcome,
-        cols: tuple[list, list], n: int
-    ) -> AssertionOutcome:
-        """Vectorised path: series as whole-trace numpy array expressions."""
-        cols_v, cols_x = cols
-        series: list[list[Optional[bool]]] = []
-        disabled: Optional[list[bool]] = None
-        prefix: Optional[list[int]] = None
-        for index, (fn, _width) in enumerate(lowered.vector_fns):
-            values, xmasks = fn(cols_v, cols_x, (n,))
-            values = sva_vector.as_column(values, (n,))
-            xmasks = sva_vector.as_column(xmasks, (n,))
-            series.append(sva_vector.tri_column(values, xmasks))
-            if index == lowered.disable_index:
-                # Truthy == the tri-state True the closure path tests for.
-                lanes = values != 0
-                disabled = lanes.tolist()
-                prefix = [0]
-                prefix.extend(np.cumsum(lanes, dtype=np.int64).tolist())
-        return self._walk_attempts(lowered, outcome, series, disabled, prefix, n)
+        )
 
     def _evaluate_tensor(
         self, lowered: _LoweredAssertion, stacked: _StackedColumns
     ) -> list[AssertionOutcome]:
-        """Attempt-tensor path: one 2-D numpy pass resolves every attempt of
-        every trace in the batch (a single trace is the (1, cycles) case)."""
+        """One 2-D numpy pass resolves every attempt of every trace in the
+        batch (a single trace is the (1, cycles) case)."""
         stacked_v, stacked_x, lengths, shape = stacked.stack()
         values: list[np.ndarray] = []
         xmasks: list[np.ndarray] = []
@@ -734,106 +359,3 @@ class CompiledAssertionChecker:
             xmasks,
             lengths,
         )
-
-    def _walk_attempts(
-        self, lowered: _LoweredAssertion, outcome: AssertionOutcome,
-        series: list[list[Optional[bool]]], disabled: Optional[list[bool]],
-        prefix: Optional[list[int]], n: int
-    ) -> AssertionOutcome:
-        """The attempt walk shared by both series backends: pure indexing."""
-        spec = lowered.spec
-        antecedent = lowered.antecedent
-        consequent = lowered.consequent
-        overlapping = lowered.overlapping
-        message = spec.error_message
-        failures = outcome.failures
-        last = n - 1
-
-        for start in range(n):
-            outcome.attempts += 1
-            if disabled is not None and disabled[start]:
-                outcome.disabled += 1
-                continue
-
-            if antecedent is not None:
-                cycle = start
-                pending = False
-                matched = True
-                for offset, index in antecedent:
-                    cycle = start + offset
-                    if cycle >= n:
-                        pending = True
-                        break
-                    if series[index][cycle] is not True:
-                        matched = False
-                        break
-                if pending:
-                    outcome.pending += 1
-                    continue
-                if not matched:
-                    outcome.vacuous += 1
-                    continue
-                outcome.antecedent_matches += 1
-                consequent_start = cycle if overlapping else cycle + 1
-            else:
-                outcome.antecedent_matches += 1
-                consequent_start = start
-
-            if prefix is not None:
-                end = consequent_start if consequent_start < last else last
-                if prefix[end + 1] - prefix[start]:
-                    outcome.disabled += 1
-                    continue
-
-            pending = False
-            fail_cycle = -1
-            for offset, index in consequent:
-                cycle = consequent_start + offset
-                if cycle >= n:
-                    pending = True
-                    break
-                if series[index][cycle] is False:
-                    fail_cycle = cycle
-                    break
-            if pending:
-                outcome.pending += 1
-            elif fail_cycle < 0:
-                outcome.passes += 1
-            else:
-                if prefix is not None:
-                    end = fail_cycle if fail_cycle < last else last
-                    if prefix[end + 1] - prefix[start]:
-                        outcome.disabled += 1
-                        continue
-                failures.append(
-                    AssertionFailure(
-                        assertion=spec.name,
-                        start_cycle=start,
-                        fail_cycle=fail_cycle,
-                        message=message,
-                    )
-                )
-        return outcome
-
-
-def compile_assertions(
-    design: ElaboratedDesign,
-    strict: bool = False,
-    vectorise: bool = True,
-    attempt_tensor: bool = True,
-    base: Optional[CompiledAssertionChecker] = None,
-) -> CompiledAssertionChecker:
-    """Lower ``design``'s assertions for the compiled checker backend.
-
-    ``attempt_tensor=False`` keeps vectorised assertions on the Python
-    attempt walk (the tensor's differential oracle and benchmark baseline).
-
-    With ``base`` (a checker for a signal-compatible design, typically the
-    unpatched base of a candidate repair), assertions whose content key is
-    unchanged reuse the base's lowering; only assertions whose support cone
-    the patch touched are relowered.
-    """
-    return CompiledAssertionChecker(
-        design, strict=strict, vectorise=vectorise,
-        attempt_tensor=attempt_tensor, base=base,
-    )

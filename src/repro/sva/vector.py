@@ -1,31 +1,28 @@
 """Whole-array (numpy columnar) lowering of SVA boolean layers.
 
-The compiled checker (:mod:`repro.sva.compile`) evaluates every element
-expression through one closure call per cycle.  That closure tree is already
-fast, but it is still O(cycles x AST nodes) of Python dispatch per element.
-This module lowers the same expressions one level further: each expression
-becomes a function over **whole-trace column arrays**
+This is the compiled checker's (:mod:`repro.sva.compile`) engine.  Each
+assertion element becomes a function over **whole-trace column arrays**
 (:meth:`repro.sim.trace.Trace.columns`), evaluating all cycles in a handful
 of numpy array operations:
 
 * identifiers read the signal's ``(value, xmask)`` columns directly;
 * operators become masked array expressions that reproduce the scalar
-  closure semantics lane for lane -- including x-propagation (an unknown
-  operand poisons the full result width, exactly like the closure path);
+  evaluator's semantics lane for lane -- including x-propagation (an
+  unknown operand poisons the full result width);
 * ``$past`` becomes a shifted view of the argument series with a pre-trace
   all-``x`` fill; ``$rose``/``$fell``/``$stable``/``$changed`` become
   shifted comparisons with the xmask of *either* sample propagated;
-* ``disable iff`` feeds a prefix-count mask built with ``np.cumsum``.
+* ``disable iff`` feeds a prefix-count mask built with ``np.cumsum``;
+* :func:`walk_attempts_tensor` resolves every attempt of every trace as
+  (attempt x cycle) mask operations.
 
 The lowering is deliberately partial: anything whose scalar semantics
 depend on per-cycle control flow or per-cycle widths -- dynamic part
 selects, non-constant replication counts, mismatched ternary branch widths,
 signals wider than an ``int64`` column -- raises :class:`VectorError`, and
-the caller falls back to the per-cycle closure path for that assertion
-(which in turn falls back to the tree-walking oracle for constructs *it*
-rejects).  Within the supported subset the results are value-identical to
-the closure path by construction, which the differential suite asserts
-outcome-for-outcome.
+the caller checks that assertion with the tree-walking oracle instead.
+Within the supported subset the results are value-identical to the oracle,
+which the differential suites assert outcome-for-outcome.
 
 Integer model: every lane is a non-negative Python-int-semantics value
 masked to its expression width (<= 63 bits), carried in ``int64`` arrays.
@@ -72,20 +69,6 @@ class VectorError(Exception):
 def as_column(lanes, shape) -> np.ndarray:
     """Broadcast a scalar-or-array lane value to an int64 array of ``shape``."""
     return np.broadcast_to(np.asarray(lanes, dtype=_I64), shape)
-
-
-#: Tri-state decode table for element series: index by 0/1/2.
-TRI_STATES = (False, True, None)
-
-
-def tri_column(values: np.ndarray, xmasks: np.ndarray) -> list:
-    """Per-cycle element booleans as the walker's ``True/False/None`` list.
-
-    Matches the closure path's decode: truthy value -> ``True``; zero value
-    with any unknown bit -> ``None``; known zero -> ``False``.
-    """
-    code = np.where(values != 0, 1, np.where(xmasks != 0, 2, 0))
-    return [TRI_STATES[c] for c in code.tolist()]
 
 
 def _shift_series(
@@ -147,11 +130,12 @@ def _shift_right(values, amounts):
 class VectorExprCompiler:
     """Lowers expression trees to whole-array closures over trace columns.
 
-    Mirrors :class:`repro.sim.compile.ExprCompiler` (the per-cycle closure
-    lowering) operator for operator; every branch below states the scalar
-    semantics it reproduces.  ``compile`` returns ``(fn, width)`` -- widths
-    are static on this path (the per-cycle-varying widths the closure path
-    can produce are exactly the cases that raise :class:`VectorError`).
+    Mirrors the scalar :class:`~repro.sim.evaluator.Evaluator` (which the
+    tree-walking oracle uses) operator for operator; every branch below
+    states the scalar semantics it reproduces.  ``compile`` returns
+    ``(fn, width)`` -- widths are static on this path (the
+    per-cycle-varying widths scalar evaluation can produce are exactly the
+    cases that raise :class:`VectorError`).
     """
 
     def __init__(self, design: ElaboratedDesign, slots: dict[str, int]):
@@ -387,7 +371,7 @@ class VectorExprCompiler:
         tf, tw = self.compile(expr.if_true)
         ff, fw = self.compile(expr.if_false)
         if tw != fw:
-            # The closure path returns the *taken* branch's width per cycle;
+            # Scalar evaluation returns the *taken* branch's width per cycle;
             # a static lowering cannot reproduce that.
             raise VectorError("ternary branches have different widths")
         m = (1 << tw) - 1
@@ -437,8 +421,8 @@ class VectorExprCompiler:
         if msb is None or lsb is None:
             raise VectorError("part select bounds are not elaboration-time constants")
         if msb < lsb:
-            # The closure path raises SimulationError per evaluation (and only
-            # when actually reached); a static lowering cannot reproduce that.
+            # Scalar evaluation raises per evaluation (and only when
+            # actually reached); a static lowering cannot reproduce that.
             raise VectorError(f"invalid slice [{msb}:{lsb}]")
         w = self._checked_width(msb - lsb + 1)
         m = (1 << w) - 1
@@ -474,7 +458,7 @@ class VectorExprCompiler:
     def _compile_replicate(self, expr: ast.Replicate) -> tuple[VecFn, int]:
         count = self._constant(expr.count)
         if count is None or count < 1:
-            # Non-constant/invalid counts raise per cycle on the closure path.
+            # Non-constant/invalid counts raise per cycle in scalar evaluation.
             raise VectorError("replication count is not a positive constant")
         fn, pw = self.compile(expr.value)
         total = self._checked_width(max(pw * count, 1))
@@ -548,13 +532,13 @@ class VectorExprCompiler:
 
     def _compile_sampled(self, call: ast.SystemCall) -> tuple[VecFn, int]:
         if not call.args:
-            # Mirrors the closure path's missing-argument guard: unknown(1).
+            # Mirrors the tree-walker's missing-argument guard: unknown(1).
             return (lambda cv, cx, shape: (0, 1)), 1
         argument = call.args[0]
         arg_fn, arg_width = self.compile(argument)
         inferred = infer_expression_width(argument, self._design)
         if inferred != arg_width:
-            # The closure path's pre-trace unknown uses the inferred width
+            # The tree-walker's pre-trace unknown uses the inferred width
             # while in-trace samples use the evaluated width; keep the
             # static path out of any case where the two could disagree.
             raise VectorError("sampled argument width disagrees with inference")
@@ -643,9 +627,8 @@ def walk_attempts_tensor(
 ) -> list[AssertionOutcome]:
     """Resolve every attempt of every row in whole-array numpy operations.
 
-    The tensor twin of ``CompiledAssertionChecker._walk_attempts``: where
-    the walk loops over start cycles in Python, this computes one boolean
-    (row x start-cycle) mask per outcome bucket, with antecedent/consequent
+    Where the tree-walker loops over start cycles, this computes one
+    boolean (row x start-cycle) mask per outcome bucket, with antecedent/consequent
     delays as shifted views, ``disable iff`` as a per-row prefix-count
     lookup, and pass/fail/vacuous resolution for all attempt starts of all
     rows in one expression.  Rows are independent traces (one per
@@ -659,7 +642,7 @@ def walk_attempts_tensor(
     *shifted* cycle, and the disable prefix is clipped to real cells before
     accumulation.
 
-    Bucket semantics replicate the walk exactly, in its order: disabled at
+    Bucket semantics replicate the tree-walker exactly, in its order: disabled at
     the start cycle first; antecedent elements left to right (out of range
     -> pending, non-True -> vacuous); ``disable iff`` anywhere in
     ``[start, consequent start]``; consequent elements left to right (out
@@ -667,7 +650,7 @@ def walk_attempts_tensor(
     a fail whose ``[start, fail cycle]`` span saw the disable counts as
     disabled instead.  Each start lands in exactly one bucket because every
     test removes its matches from the live mask.  Failures are emitted in
-    ascending start order, matching the walk's iteration.
+    ascending start order, matching the tree-walker's iteration.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     rows = lengths.shape[0]

@@ -342,7 +342,7 @@ def test_disk_tier_shares_elaborations_and_compile_failures(tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# ResultCache sharding (satellite: two-level layout + legacy read-through)
+# ResultCache sharding (two-level layout; older layouts are not read)
 # --------------------------------------------------------------------------- #
 
 
@@ -354,6 +354,8 @@ def test_result_cache_two_level_sharding_and_legacy_read_through(tmp_path):
     cache.put(key, {"a": 1})
     assert (tmp_path / key[:2] / key[2:4] / f"{key}.json").exists()
 
+    # Nothing writes the older flat or one-level layouts any more, so
+    # files there are neither read nor counted.
     flat_key = content_key("v", "flat-era")
     (tmp_path / f"{flat_key}.json").write_text(json.dumps({"b": 2}))
     one_level_key = content_key("v", "one-level-era")
@@ -363,7 +365,7 @@ def test_result_cache_two_level_sharding_and_legacy_read_through(tmp_path):
     )
 
     assert cache.get(key) == {"a": 1}
-    assert cache.get(flat_key) == {"b": 2}
-    assert cache.get(one_level_key) == {"c": 3}
-    assert len(cache) == 3
+    assert cache.get(flat_key) is None
+    assert cache.get(one_level_key) is None
+    assert len(cache) == 1
     assert cache.get(content_key("v", "absent")) is None

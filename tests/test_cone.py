@@ -242,7 +242,9 @@ def test_lint_screen_ignores_preexisting_defects():
 
 
 def test_static_reject_verdict_carries_detail_and_keyspace():
-    verifier = SemanticVerifier(VerifierConfig(cycles=CYCLES, static_screen="lint"))
+    # The edit drops t's driver inside an assertion cone, so the cone tier
+    # cannot skip it and the lint tier rejects it.
+    verifier = SemanticVerifier(VerifierConfig(cycles=CYCLES, static_screen="full"))
     fix = CandidateFix(
         line_number=6, fixed_line="    assign u = a & b;",
         bug_line="    assign t = a & b;",
@@ -258,6 +260,14 @@ def test_static_reject_verdict_carries_detail_and_keyspace():
     baseline = off.verify(LINT_BASE, fix, SEEDS)
     assert baseline.provenance == "simulated"
     assert baseline.status != "static_reject"
+
+
+def test_unknown_screen_modes_are_rejected():
+    # Only "off" and "full" exist; anything else must not silently screen
+    # under a verdict-cache keyspace of its own.
+    for mode in ("cone", "lint"):
+        with pytest.raises(ValueError, match="static_screen"):
+            VerifierConfig(static_screen=mode)
 
 
 # --------------------------------------------------------------------------- #

@@ -175,9 +175,9 @@ def test_metrics_merge_is_exact():
 
 
 def test_labeled_metric_keys_roundtrip():
-    key = labeled("sva.vector_fallback", "width 64\nexceeds limit")
-    assert key == "sva.vector_fallback[width 64 exceeds limit]"
-    assert split_label(key) == ("sva.vector_fallback", "width 64 exceeds limit")
+    key = labeled("sva.fallback", "width 64\nexceeds limit")
+    assert key == "sva.fallback[width 64 exceeds limit]"
+    assert split_label(key) == ("sva.fallback", "width 64 exceeds limit")
     assert split_label("plain.counter") == ("plain.counter", None)
 
 
@@ -328,7 +328,7 @@ def test_result_cache_stats_and_counters(tmp_path):
 def test_result_cache_sweeps_stale_tmp_files(tmp_path):
     root = tmp_path / "cache"
     ResultCache(root)
-    orphan = root / "ab" / "deadbeef.json.tmp999"
+    orphan = root / "de" / "ad" / "deadbeef.json.tmp999"
     orphan.parent.mkdir(parents=True, exist_ok=True)
     orphan.write_text("partial")
     ancient = time.time() - 2 * ResultCache.STALE_TMP_SECONDS
@@ -373,61 +373,82 @@ def test_engine_choices_are_recorded_per_assertion():
         checker = CompiledAssertionChecker(design)
     assert set(checker.engine_choices) == {spec.name for spec in design.assertions}
     for choice in checker.engine_choices.values():
-        assert choice["engine"] in ("vectorised", "closure", "tree_walker")
-        if choice["engine"] == "vectorised":
+        assert choice["engine"] in ("tensor", "tree_walker")
+        if choice["engine"] == "tensor":
             assert choice["reason"] is None
+        else:
+            assert choice["reason"]
     report = checker.engine_report()
     assert sum(report["engines"].values()) == len(design.assertions)
+    assert report["engines"]["tensor"] > 0
     assert report["assertions"] == checker.engine_choices
-    lowered = sum(
-        registry.counter(f"sva.lower.{engine}")
-        for engine in ("vectorised", "closure", "tree_walker")
-    )
-    assert lowered == len(design.assertions)
+    for engine in ("tensor", "tree_walker"):
+        assert report["engines"][engine] == registry.counter(f"sva.lower.{engine}")
+
+
+DYNAMIC_SELECT_SOURCE = """
+module dynsel(input wire clk, input wire [1:0] i, input wire [7:0] a, output reg [7:0] b);
+    always @(posedge clk) begin
+        b <= a;
+    end
+    property p_slice;
+        @(posedge clk) 1'b1 |-> $past(a[i*2+1:i*2]) == b[i*2+1:i*2];
+    endproperty
+    a_slice: assert property (p_slice);
+    property p_whole;
+        @(posedge clk) 1'b1 |-> $past(a) == b;
+    endproperty
+    a_whole: assert property (p_whole);
+endmodule
+"""
 
 
 def test_disabling_vectorisation_records_the_reason():
-    design = _assertion_design()
+    """A construct the tensor lowering refuses disables vectorisation for
+    exactly the assertions that use it, and every such demotion carries the
+    refusing construct as its reason -- per assertion and as a counter."""
+    source = DYNAMIC_SELECT_SOURCE.replace(
+        "    a_whole: assert property (p_whole);",
+        "    a_whole: assert property (p_whole);\n"
+        "    a_slice_again: assert property (@(posedge clk) 1'b1 |-> "
+        "$past(a[i+1:i]) == b[i+1:i]);",
+    )
+    design = compile_source(source).design
     with scoped_registry() as registry:
-        checker = CompiledAssertionChecker(design, vectorise=False)
-    demoted = [c for c in checker.engine_choices.values() if c["engine"] == "closure"]
-    assert demoted, "vectorise=False must demote at least one assertion"
-    assert all(c["reason"] == "vectorisation disabled" for c in demoted)
-    key = labeled("sva.vector_fallback", "vectorisation disabled")
-    assert registry.counter(key) == len(demoted)
+        checker = CompiledAssertionChecker(design)
+    demoted = {
+        name: c for name, c in checker.engine_choices.items() if c["engine"] == "tree_walker"
+    }
+    assert set(demoted) == {"a_slice", "a_slice_again"}
+    reason = "part select bounds are not elaboration-time constants"
+    assert all(c["reason"] == reason for c in demoted.values())
+    assert registry.counter(labeled("sva.fallback", reason)) == len(demoted)
+    assert checker.engine_report()["fallback_reasons"] == {reason: len(demoted)}
 
 
 def test_attempt_engine_choices_are_recorded_per_assertion():
-    """The attempt layer's choice (tensor vs walk) is as visible as the
-    series engine's: counters at lowering, labeled fallback reasons, and
-    per-assertion fields in engine_report() -- no silent demotion."""
-    design = _assertion_design()
+    """Which engine resolves each assertion's attempts is never silent: a
+    construct the tensor refuses (here a dynamic part select) demotes its
+    assertion to the tree-walker -- recorded per assertion with the
+    refusing construct, counted at lowering under a labeled fallback
+    reason, and counted again at every check."""
+    design = compile_source(DYNAMIC_SELECT_SOURCE).design
+    reason = "part select bounds are not elaboration-time constants"
     with scoped_registry() as registry:
         checker = CompiledAssertionChecker(design)
-    for choice in checker.engine_choices.values():
-        assert choice["attempt_engine"] in ("tensor", "walk", "tree_walker")
-        if choice["attempt_engine"] == "tensor":
-            assert choice["attempt_reason"] is None
-        else:
-            assert choice["attempt_reason"]
-    report = checker.engine_report()
-    assert sum(report["attempt_engines"].values()) == len(design.assertions)
-    assert report["attempt_engines"]["tensor"] == registry.counter("sva.attempt.tensor")
-    assert report["attempt_engines"]["tensor"] > 0
-
+    assert checker.engine_choices == {
+        "a_slice": {"engine": "tree_walker", "reason": reason},
+        "a_whole": {"engine": "tensor", "reason": None},
+    }
+    assert registry.counter(labeled("sva.fallback", reason)) == 1
+    assert registry.counter("sva.lower.tree_walker") == 1
+    assert registry.counter("sva.lower.tensor") == 1
+    assert checker.engine_report()["fallback_reasons"] == {reason: 1}
+    trace = Simulator(design).run([{"i": c % 4, "a": 37 * c % 256} for c in range(12)])
     with scoped_registry() as registry:
-        walk_checker = CompiledAssertionChecker(design, attempt_tensor=False)
-    demoted = [
-        c
-        for c in walk_checker.engine_choices.values()
-        if c["attempt_engine"] == "walk" and c["attempt_reason"] == "attempt tensor disabled"
-    ]
-    assert demoted, "attempt_tensor=False must demote at least one assertion"
-    key = labeled("sva.attempt_fallback", "attempt tensor disabled")
-    assert registry.counter(key) == len(demoted)
-    assert walk_checker.engine_report()["attempt_fallback_reasons"][
-        "attempt tensor disabled"
-    ] == len(demoted)
+        checker.check(trace)
+    assert registry.counter("sva.check.tree_walker") == 1
+    assert registry.counter("sva.check.tensor") == 1
 
 
 # ---------------------------------------------------------------------- #
@@ -443,11 +464,11 @@ def _write_sample_trace(path) -> None:
     registry = MetricsRegistry()
     registry.inc("runtime.cache.hits", 3)
     registry.inc("runtime.cache.misses", 1)
-    registry.inc("sva.lower.vectorised", 2)
-    registry.inc(labeled("sva.vector_fallback", "width 64 exceeds limit"))
-    registry.inc("sva.attempt.tensor", 2)
-    registry.inc("sva.attempt.walk", 1)
-    registry.inc(labeled("sva.attempt_fallback", "attempt tensor disabled"))
+    registry.inc("sva.lower.tensor", 2)
+    registry.inc("sva.lower.tree_walker", 1)
+    registry.inc(labeled("sva.fallback", "width 64 exceeds limit"))
+    registry.inc("sva.check.tensor", 6)
+    registry.inc("sva.check.tree_walker", 3)
     write_trace(path, tracer, metrics=registry, meta={"kind": "test"})
 
 
@@ -458,9 +479,9 @@ def test_cli_summarize_renders_a_run_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "run report" in out
     assert "pipeline" in out and "hit rate" in out
-    assert "width 64 exceeds limit" in out
-    assert "attempt engines" in out and "tensor 2" in out
-    assert "attempt tensor disabled" in out
+    assert "sva engines" in out and "tensor 2 · tree_walker 1" in out
+    assert "checked: tensor 6 · tree_walker 3" in out
+    assert "fallback reasons" in out and "width 64 exceeds limit" in out
 
 
 def test_cli_export_chrome_writes_next_to_the_trace(tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the columnar trace layer and the vectorised checking engine.
+"""Tests for the columnar trace layer and the attempt-tensor checking engine.
 
 Four contracts are pinned here:
 
@@ -7,11 +7,12 @@ Four contracts are pinned here:
   sampled values, are memoised per trace (invalidated on append), and a
   quiet design's DiffTrace builds its columns without materialising
   per-cycle sample dicts;
-* the four checking engines -- attempt tensor, vectorised series + Python
-  walk, per-cycle closures, tree-walking oracle -- are outcome-identical
-  across every template family and for injected mutants (including
-  failing reports), and the tensor actually engages (this suite fails if
-  the lowering silently refuses everything);
+* the compiled checker's attempt tensor is outcome-identical to the
+  tree-walking oracle across every template family and for injected
+  mutants (including failing reports), and the tensor actually engages
+  (this suite fails if the lowering silently refuses everything);
+* assertions the tensor refuses (>63-bit operands, dynamic part selects)
+  are checked by the oracle, with the reason recorded and counted;
 * adversarial attempt shapes (dense antecedent starts, attempts spanning
   the trace end, ``disable iff`` pulses mid-attempt, pre-trace ``$past``)
   and ragged-length stacked batches stay verdict-identical too;
@@ -27,6 +28,7 @@ import pytest
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
+from repro.obs.metrics import labeled, scoped_registry
 from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
 from repro.sim.trace import INT64_COLUMN_MAX_WIDTH
@@ -145,62 +147,131 @@ def test_columns_unknown_signal_raises_clear_error():
 
 
 WIDE_SOURCE = """
-module wide(input wire clk, input wire [70:0] a, output reg [70:0] b);
+module wide(
+    input wire clk,
+    input wire [70:0] a,
+    input wire [3:0] n,
+    output reg [70:0] b,
+    output reg [3:0] m
+);
     always @(posedge clk) begin
         b <= a;
+        m <= n;
     end
     property p_follow;
         @(posedge clk) 1'b1 |-> $past(a) == b;
     endproperty
     a_follow: assert property (p_follow);
+    property p_narrow;
+        @(posedge clk) 1'b1 |-> $past(n) == m;
+    endproperty
+    a_narrow: assert property (p_narrow);
+endmodule
+"""
+
+DYNAMIC_SELECT_SOURCE = """
+module dynsel(
+    input wire clk,
+    input wire [1:0] i,
+    input wire [7:0] a,
+    output reg [7:0] b
+);
+    always @(posedge clk) begin
+        b <= a;
+    end
+    // The slice moves with i, so its bounds are not elaboration-time
+    // constants; sampling i one cycle apart makes some attempts fail.
+    property p_slice;
+        @(posedge clk) 1'b1 |-> $past(a[i*2+1:i*2]) == b[i*2+1:i*2];
+    endproperty
+    a_slice: assert property (p_slice);
+    property p_whole;
+        @(posedge clk) 1'b1 |-> $past(a) == b;
+    endproperty
+    a_whole: assert property (p_whole);
 endmodule
 """
 
 
+def assert_demoted_to_oracle(design, demoted, reason, traces):
+    """``demoted`` runs on the tree-walker with ``reason`` recorded and
+    counted, every other assertion on the tensor, and outcomes equal the
+    oracle under ``check`` and a ragged ``check_batch``."""
+    with scoped_registry() as registry:
+        checker = CompiledAssertionChecker(design)
+    for name, choice in checker.engine_choices.items():
+        if name == demoted:
+            assert choice == {"engine": "tree_walker", "reason": reason}
+        else:
+            assert choice == {"engine": "tensor", "reason": None}
+    assert registry.counter(labeled("sva.fallback", reason)) == 1
+    assert checker.engine_report()["fallback_reasons"] == {reason: 1}
+    oracle = AssertionChecker(design)
+    references = [oracle.check(trace) for trace in traces]
+    assert len({len(trace) for trace in traces}) == len(traces), "batch must be ragged"
+    with scoped_registry() as registry:
+        batched = checker.check_batch(traces)
+    assert registry.counter("sva.check.tree_walker") == len(traces)
+    for trace, via_batch, reference in zip(traces, batched, references):
+        single = checker.check(trace)
+        assert sorted(single.outcomes) == sorted(reference.outcomes)
+        for name in reference.outcomes:
+            assert (
+                single.outcomes[name].comparison_key()
+                == via_batch.outcomes[name].comparison_key()
+                == reference.outcomes[name].comparison_key()
+            ), f"assertion '{name}' diverges from the oracle"
+    return references
+
+
 def test_wide_signals_use_object_columns_and_closure_fallback():
-    """>63-bit signals degrade to object columns; the checker falls back."""
+    """>63-bit signals degrade to object columns, and assertions the tensor
+    refuses -- wide operands, dynamic part selects -- fall back to the
+    tree-walking oracle with the refusing construct as the reason."""
     design = compile_source(WIDE_SOURCE).design
     assert design is not None
     big = (1 << 70) | 3
-    trace = Simulator(design).run([{"a": big}] * 8)
+    trace = Simulator(design).run([{"a": big, "n": 5}] * 8)
     columns = trace.columns(["a"])
     assert columns.values["a"].dtype == object
     assert columns.values["a"].tolist() == [big] * 8
-    checker = CompiledAssertionChecker(design)
-    lowered = list(checker._lowered.values())
-    assert all(entry is not None and entry.vector_fns is None for entry in lowered)
-    report = checker.check(trace)
-    oracle = AssertionChecker(design).check(trace)
-    assert (
-        report.outcomes["a_follow"].comparison_key()
-        == oracle.outcomes["a_follow"].comparison_key()
+    traces = [
+        Simulator(design).run(
+            [{"a": (big + 7 * c) if c % 3 else c, "n": c % 16} for c in range(cycles)]
+        )
+        for cycles in (11, 13, 3)
+    ]
+    references = assert_demoted_to_oracle(
+        design, "a_follow", "width 71 exceeds the int64 column limit", [trace] + traces
     )
-    assert report.outcomes["a_follow"].passes > 0
+    assert references[0].outcomes["a_follow"].passes > 0
+
+    design = compile_source(DYNAMIC_SELECT_SOURCE).design
+    assert design is not None
+    traces = [simulate(design, seed=seed, cycles=cycles) for seed, cycles in ((3, 30), (4, 17))]
+    references = assert_demoted_to_oracle(
+        design, "a_slice", "part select bounds are not elaboration-time constants", traces
+    )
+    slices = [reference.outcomes["a_slice"] for reference in references]
+    assert any(outcome.passes for outcome in slices)
+    assert any(outcome.failures for outcome in slices)
 
 
 # --------------------------------------------------------------------------- #
-# vectorised checker differential
+# attempt tensor vs oracle differential
 # --------------------------------------------------------------------------- #
 
 
-def assert_four_way_identical(design, trace):
-    """attempt-tensor vs vectorised+walk vs closure vs tree-walker."""
+def assert_matches_oracle(design, trace):
+    """The attempt tensor vs the tree-walking oracle."""
     oracle = AssertionChecker(design).check(trace)
     tensor = CompiledAssertionChecker(design).check(trace)
-    walk = CompiledAssertionChecker(design, attempt_tensor=False).check(trace)
-    closure = CompiledAssertionChecker(design, vectorise=False).check(trace)
-    assert (
-        sorted(oracle.outcomes)
-        == sorted(tensor.outcomes)
-        == sorted(walk.outcomes)
-        == sorted(closure.outcomes)
-    )
+    assert sorted(oracle.outcomes) == sorted(tensor.outcomes)
     for name in oracle.outcomes:
-        a = oracle.outcomes[name].comparison_key()
-        b = tensor.outcomes[name].comparison_key()
-        c = walk.outcomes[name].comparison_key()
-        d = closure.outcomes[name].comparison_key()
-        assert a == b == c == d, f"assertion '{name}' diverges between checking paths"
+        assert (
+            oracle.outcomes[name].comparison_key()
+            == tensor.outcomes[name].comparison_key()
+        ), f"assertion '{name}' diverges between the tensor and the oracle"
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=[f.name for f in FAMILIES])
@@ -209,16 +280,14 @@ def test_vectorised_outcomes_identical(family):
     if design is None or not design.assertions:
         pytest.skip("family yields no checkable assertions")
     checker = CompiledAssertionChecker(design)
-    vectorised = [
-        entry for entry in checker._lowered.values()
-        if entry is not None and entry.vector_fns is not None
-    ]
-    assert vectorised, "vector lowering refused every assertion of the family"
-    # The vectorised path must engage on both diff-backed and dict-backed
-    # traces (different columns() implementations).
+    assert checker.engine_report()["engines"]["tensor"] > 0, (
+        "vector lowering refused every assertion of the family"
+    )
+    # The tensor must engage on both diff-backed and dict-backed traces
+    # (different columns() implementations).
     diff_trace = simulate(design, seed=12, cycles=32, record_columns=True)
-    assert_four_way_identical(design, diff_trace)
-    assert_four_way_identical(design, simulate(design, seed=13, cycles=32).materialized())
+    assert_matches_oracle(design, diff_trace)
+    assert_matches_oracle(design, simulate(design, seed=13, cycles=32).materialized())
 
 
 def test_vectorised_mutant_outcomes_identical():
@@ -237,7 +306,7 @@ def test_vectorised_mutant_outcomes_identical():
                 trace = simulate(buggy.design, seed=9, record_columns=True)
             except SimulationError:
                 continue
-            assert_four_way_identical(buggy.design, trace)
+            assert_matches_oracle(buggy.design, trace)
             checked += 1
             if not AssertionChecker(buggy.design).check(trace).passed:
                 failing += 1
@@ -257,33 +326,23 @@ def test_check_assertion_public_entry_point():
     assert outcome.comparison_key() == oracle.check(trace).outcomes[spec.name].comparison_key()
 
 
-def test_attempt_tensor_engages_and_is_observable():
-    """Vectorised assertions run the tensor by default, and the demotions
-    (knob off, closure series) are named in the engine report."""
+def test_tensor_engages_and_is_observable():
+    """Every assertion of a template family lowers to the tensor, and each
+    check is counted against the engine that ran it."""
     _, design = augmented_design(FAMILIES[0], prefix="eng")
     if design is None or not design.assertions:
         pytest.skip("family yields no checkable assertions")
-    tensor = CompiledAssertionChecker(design)
+    with scoped_registry() as registry:
+        tensor = CompiledAssertionChecker(design)
     report = tensor.engine_report()
-    assert report["attempt_engines"]["tensor"] > 0
-    for choice in tensor.engine_choices.values():
-        if choice["engine"] == "vectorised":
-            assert choice["attempt_engine"] == "tensor"
-            assert choice["attempt_reason"] is None
-    walk = CompiledAssertionChecker(design, attempt_tensor=False)
-    for choice in walk.engine_choices.values():
-        if choice["engine"] == "vectorised":
-            assert choice["attempt_engine"] == "walk"
-            assert choice["attempt_reason"] == "attempt tensor disabled"
-    assert walk.engine_report()["attempt_fallback_reasons"].get(
-        "attempt tensor disabled", 0
-    ) > 0
-    closure = CompiledAssertionChecker(design, vectorise=False)
-    for choice in closure.engine_choices.values():
-        if choice["engine"] == "closure":
-            assert choice["attempt_engine"] == "walk"
-            assert choice["attempt_reason"].startswith("series engine is closure")
-    assert closure.engine_report()["attempt_engines"]["tensor"] == 0
+    assert report["engines"] == {"tensor": len(design.assertions), "tree_walker": 0}
+    assert report["fallback_reasons"] == {}
+    assert registry.counter("sva.lower.tensor") == len(design.assertions)
+    traces = [simulate(design, seed=seed, cycles=16) for seed in (1, 2)]
+    with scoped_registry() as registry:
+        tensor.check_batch(traces)
+    assert registry.counter("sva.check.tensor") == len(design.assertions) * len(traces)
+    assert registry.counter("sva.check.tree_walker") == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -350,12 +409,11 @@ def adversarial_trace(design, cycles, hold=True, pulse_at=()):
     return Simulator(design).run(vectors)
 
 
-def test_adversarial_attempt_shapes_four_way_identical():
+def test_adversarial_attempt_shapes_match_oracle():
     design = adversarial_design()
     tensor = CompiledAssertionChecker(design)
     assert all(
-        choice["attempt_engine"] == "tensor"
-        for choice in tensor.engine_choices.values()
+        choice["engine"] == "tensor" for choice in tensor.engine_choices.values()
     ), tensor.engine_choices
     traces = [
         # Dense starts, attempts spanning the trace end (long tails).
@@ -372,7 +430,7 @@ def test_adversarial_attempt_shapes_four_way_identical():
         adversarial_trace(design, 0),
     ]
     for trace in traces:
-        assert_four_way_identical(design, trace)
+        assert_matches_oracle(design, trace)
     # The shapes must actually exercise every bucket somewhere, or this
     # test has no teeth.
     oracle = AssertionChecker(design)
