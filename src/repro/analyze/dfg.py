@@ -197,7 +197,8 @@ class SignalDfg:
             )
         return frozenset(cone)
 
-    def assertion_roots(self, spec: AssertionSpec) -> frozenset[str]:
+    @staticmethod
+    def assertion_roots(spec: AssertionSpec) -> frozenset[str]:
         """Signals an assertion reads directly: body, disable-iff and clock."""
         return frozenset(spec.identifiers() | {spec.clock.signal})
 

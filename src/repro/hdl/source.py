@@ -11,17 +11,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceFile:
-    """A Verilog source file held as text with convenient line access."""
+    """A Verilog source file held as text with convenient line access.
+
+    Frozen, so the line split -- made once, on first use -- cannot go stale.
+    """
 
     text: str
 
-    @property
-    def lines(self) -> list[str]:
-        return self.text.split("\n")
+    @cached_property
+    def lines(self) -> tuple[str, ...]:
+        return tuple(self.text.split("\n"))
 
     @property
     def line_count(self) -> int:
@@ -41,7 +45,7 @@ class SourceFile:
             raise IndexError(f"line {number} out of range 1..{len(lines)}")
         indentation = leading_whitespace(lines[number - 1])
         replacement = new_line if new_line.startswith((" ", "\t")) else indentation + new_line.strip()
-        new_lines = lines[:number - 1] + [replacement] + lines[number:]
+        new_lines = (*lines[:number - 1], replacement, *lines[number:])
         return SourceFile(text="\n".join(new_lines))
 
     def find_line(self, fragment: str) -> int:

@@ -3,22 +3,30 @@
 A :class:`RepairCase` is what the model (and every baseline) receives at
 inference time -- exactly the three ingredients of Fig. 2 (III).  The class
 also caches the structural analyses that feature extraction needs (compiled
-design, cone of influence of the failing assertions, spec keywords) so the
-evaluation runner can share them across models and samples.
+design, cone of influence of the failing assertions, spec keywords, the
+set of code lines and the fan-in distance of every signal from the
+asserted ones) so the evaluation runner can share them across models and
+samples.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from repro.corpus.spec import spec_keywords
 from repro.dataaug.datasets import SvaBugEntry
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign
-from repro.hdl.lint import compile_source
 from repro.hdl.source import SourceFile, strip_comment
 from repro.sva.logs import FailureLog, parse_failure_log
+
+
+@lru_cache(maxsize=256)
+def _spec_tokens(spec: str) -> frozenset[str]:
+    """Spec keywords, shared by every case of one spec (a design's buggy variants)."""
+    return frozenset(spec_keywords(spec))
 
 
 @dataclass
@@ -75,9 +83,15 @@ class RepairCase:
 
     @cached_property
     def design(self) -> Optional[ElaboratedDesign]:
-        """The elaborated buggy design, or ``None`` when it does not compile."""
-        result = compile_source(self.buggy_source)
-        return result.design if result.ok else None
+        """The elaborated buggy design, or ``None`` when it does not compile.
+
+        Compiled through the process-wide artifact store, so cases rebuilt
+        from the same entry (SFT, then mining) share one elaboration.
+        """
+        from repro.artifacts import default_store
+
+        design, _ = default_store().elaborate_source(self.buggy_source, persist=False)
+        return design
 
     @cached_property
     def failure_log(self) -> FailureLog:
@@ -112,31 +126,24 @@ class RepairCase:
         return design.cone_of_influence(self.asserted_signals)
 
     @cached_property
-    def dataflow(self):
-        """The buggy design's :class:`~repro.analyze.dfg.SignalDfg`, or None."""
-        design = self.design
-        if design is None:
-            return None
-        from repro.analyze.dfg import SignalDfg
-
-        return SignalDfg(design)
-
-    @cached_property
     def failing_cone(self) -> set[str]:
-        """Cone of influence of the *failing* assertions, per the DFG.
+        """Cone of influence of the *failing* assertions.
 
         Unlike :attr:`cone_signals` (fan-in of the asserted body signals),
         this includes each failing assertion's clocking signal and
-        ``disable iff`` identifiers -- the exact signal set the verifier's
-        cone screen uses.  Falls back to :attr:`cone_signals` when no
-        failing assertion resolves in the design.
+        ``disable iff`` identifiers (:meth:`SignalDfg.assertion_roots
+        <repro.analyze.dfg.SignalDfg.assertion_roots>`) -- the exact signal
+        set the verifier's cone screen uses.  Falls back to
+        :attr:`cone_signals` when no failing assertion resolves in the design.
         """
-        dfg = self.dataflow
-        if dfg is None:
-            return set(self.cone_signals)
+        design = self.design
+        if design is None:
+            return set()
+        from repro.analyze.dfg import SignalDfg
+
         cone: set[str] = set()
         for spec in self.failing_assertions:
-            cone |= dfg.assertion_cone(spec)
+            cone |= design.cone_of_influence(SignalDfg.assertion_roots(spec))
         return cone if cone else set(self.cone_signals)
 
     @cached_property
@@ -153,7 +160,7 @@ class RepairCase:
         from repro.analyze.passes import registered_passes, run_passes
 
         passes = [p for p in registered_passes() if not p.lint]
-        sink = run_passes(design, passes=passes, dfg=self.dataflow)
+        sink = run_passes(design, passes=passes)
         counts: dict[int, int] = {}
         for diag in sink.diagnostics:
             if diag.line:
@@ -161,8 +168,40 @@ class RepairCase:
         return counts
 
     @cached_property
-    def spec_tokens(self) -> set[str]:
-        return spec_keywords(self.spec)
+    def code_line_texts(self) -> frozenset[str]:
+        """Whitespace-normalised text of every code line (comments dropped).
+
+        Interned: the buggy variants of one design repeat almost every line,
+        so cases alive together share the strings.
+        """
+        normalised = (" ".join(strip_comment(line).split()) for line in self.source_file.lines)
+        return frozenset(sys.intern(text) for text in normalised if text)
+
+    @cached_property
+    def signal_distance(self) -> dict[str, int]:
+        """Fan-in distance of every signal in the asserted signals' cone.
+
+        Breadth-first search backwards through the dependency graph from the
+        asserted signals (distance 0).
+        """
+        if self.design is None:
+            return {}
+        graph = self.design.dependency_graph
+        distance = {name: 0 for name in self.asserted_signals if name in graph}
+        frontier = list(distance)
+        while frontier:
+            next_frontier = []
+            for name in frontier:
+                for dep in graph.get(name, ()):
+                    if dep not in distance:
+                        distance[dep] = distance[name] + 1
+                        next_frontier.append(dep)
+            frontier = next_frontier
+        return distance
+
+    @cached_property
+    def spec_tokens(self) -> frozenset[str]:
+        return _spec_tokens(self.spec)
 
     @cached_property
     def code_line_numbers(self) -> list[int]:
@@ -219,7 +258,7 @@ class RepairCase:
             stripped = strip_comment(self.source_file.line(number)).strip().lower()
             if not stripped:
                 continue
-            if any(stripped.startswith(prefix) for prefix in structural_prefixes):
+            if stripped.startswith(structural_prefixes):
                 continue
             candidates.append(number)
         return candidates

@@ -118,12 +118,3 @@ def generate_fix_candidates(
     )
     return candidates
 
-
-def find_matching_candidate(
-    candidates: list[FixCandidate], target_line: str
-) -> FixCandidate | None:
-    """Locate the candidate equivalent to ``target_line`` (the golden fix)."""
-    for candidate in candidates:
-        if lines_equivalent(candidate.fixed_line, target_line):
-            return candidate
-    return None

@@ -32,8 +32,15 @@ class NgramLanguageModel:
     unigrams: Counter = field(default_factory=Counter)
     bigrams: dict = field(default_factory=lambda: defaultdict(Counter))
     trigrams: dict = field(default_factory=lambda: defaultdict(Counter))
+    #: context -> ``sum(context.values())``, kept in step by :meth:`fit_sequence`.
+    bigram_totals: Counter = field(default_factory=Counter)
+    trigram_totals: Counter = field(default_factory=Counter)
     total_tokens: int = 0
     trained_sequences: int = 0
+    #: line text -> :meth:`line_surprisal`; every fit clears it.
+    _surprisal_memo: dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # training
@@ -48,9 +55,12 @@ class NgramLanguageModel:
             previous2 = (padded[index - 2], padded[index - 1])
             self.unigrams[token] += 1
             self.bigrams[previous][token] += 1
+            self.bigram_totals[previous] += 1
             self.trigrams[previous2][token] += 1
+            self.trigram_totals[previous2] += 1
             self.total_tokens += 1
         self.trained_sequences += 1
+        self._surprisal_memo.clear()
 
     def fit_text(self, text: str) -> None:
         """Tokenize and count a full text (one corpus entry)."""
@@ -68,42 +78,37 @@ class NgramLanguageModel:
     def vocabulary_size(self) -> int:
         return max(1, len(self.unigrams))
 
-    def _unigram_probability(self, token: str) -> float:
-        return (self.unigrams.get(token, 0) + self.alpha) / (
-            self.total_tokens + self.alpha * self.vocabulary_size
-        )
-
-    def _bigram_probability(self, previous: str, token: str) -> float:
-        context = self.bigrams.get(previous)
-        if not context:
-            return self._unigram_probability(token)
-        total = sum(context.values())
-        return (context.get(token, 0) + self.alpha) / (total + self.alpha * self.vocabulary_size)
-
-    def _trigram_probability(self, previous2: tuple[str, str], token: str) -> float:
-        context = self.trigrams.get(previous2)
-        if not context:
-            return self._bigram_probability(previous2[1], token)
-        total = sum(context.values())
-        return (context.get(token, 0) + self.alpha) / (total + self.alpha * self.vocabulary_size)
-
-    def token_probability(self, previous2: tuple[str, str], token: str) -> float:
-        """Interpolated probability of ``token`` after the two-token context."""
-        lambda1, lambda2, lambda3 = self.interpolation
-        return (
-            lambda1 * self._unigram_probability(token)
-            + lambda2 * self._bigram_probability(previous2[1], token)
-            + lambda3 * self._trigram_probability(previous2, token)
-        )
-
     def sequence_log_probability(self, tokens: Sequence[str]) -> float:
-        """Sum of log probabilities of a token sequence (natural log)."""
+        """Sum of log probabilities of a token sequence (natural log).
+
+        Each token's probability interpolates its unigram, bigram and
+        trigram estimates; an unseen context backs off to the next lower
+        order's estimate.
+        """
+        lambda1, lambda2, lambda3 = self.interpolation
+        alpha = self.alpha
+        smoothing = alpha * self.vocabulary_size
+        unigram_denominator = self.total_tokens + smoothing
         padded = [BOS_TOKEN, BOS_TOKEN, *tokens, EOS_TOKEN]
         total = 0.0
         for index in range(2, len(padded)):
-            probability = self.token_probability(
-                (padded[index - 2], padded[index - 1]), padded[index]
-            )
+            token = padded[index]
+            previous = padded[index - 1]
+            previous2 = (padded[index - 2], previous)
+            unigram = (self.unigrams.get(token, 0) + alpha) / unigram_denominator
+            bigram = unigram
+            context = self.bigrams.get(previous)
+            if context:
+                bigram = (context.get(token, 0) + alpha) / (
+                    self.bigram_totals[previous] + smoothing
+                )
+            trigram = bigram
+            context = self.trigrams.get(previous2)
+            if context:
+                trigram = (context.get(token, 0) + alpha) / (
+                    self.trigram_totals[previous2] + smoothing
+                )
+            probability = lambda1 * unigram + lambda2 * bigram + lambda3 * trigram
             total += math.log(max(probability, 1e-12))
         return total
 
@@ -116,12 +121,21 @@ class NgramLanguageModel:
         return math.exp(-log_probability / (len(tokens) + 1))
 
     def line_surprisal(self, line: str) -> float:
-        """Average negative log probability per token of one source line."""
+        """Average negative log probability per token of one source line.
+
+        Memoised per line text until the next fit: feature extraction scores
+        the same original line once per candidate rewrite, and the same
+        rewrites again in every training epoch.
+        """
+        cached = self._surprisal_memo.get(line)
+        if cached is not None:
+            return cached
         tokens = tokenize_line(line)[1:-1]
-        if not tokens:
-            return 0.0
-        log_probability = self.sequence_log_probability(tokens)
-        return -log_probability / (len(tokens) + 1)
+        surprisal = 0.0
+        if tokens:
+            surprisal = -self.sequence_log_probability(tokens) / (len(tokens) + 1)
+        self._surprisal_memo[line] = surprisal
+        return surprisal
 
     def line_naturalness(self, line: str) -> float:
         """Higher is more natural; used to rank candidate fixes."""

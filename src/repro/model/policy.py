@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.hdl.source import normalize_line
 from repro.model.case import RepairCase
 from repro.model.features import (
     FIX_FEATURE_NAMES,
@@ -78,6 +79,8 @@ class CaseAnalysis:
     fix_candidates: dict[int, list[FixCandidate]] = field(default_factory=dict)
     fix_features: dict[int, np.ndarray] = field(default_factory=dict)
     fix_pattern_indices: dict[int, np.ndarray] = field(default_factory=dict)
+    #: line -> normalised fixed line -> index of the first candidate with it.
+    fix_keys: dict[int, dict[str, int]] = field(default_factory=dict)
 
 
 def softmax(scores: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -127,6 +130,11 @@ class RepairPolicy:
         self._analysis_cache[case.name] = analysis
         return analysis
 
+    def fix_index(self, case: RepairCase, line_number: int, fixed_line: str) -> Optional[int]:
+        """Index of the first fix candidate of the line equivalent to ``fixed_line``."""
+        self.fix_options(case, line_number)
+        return self.analyse(case).fix_keys[line_number].get(normalize_line(fixed_line))
+
     def fix_options(self, case: RepairCase, line_number: int) -> tuple[
         list[FixCandidate], np.ndarray, np.ndarray
     ]:
@@ -134,16 +142,19 @@ class RepairPolicy:
         analysis = self.analyse(case)
         if line_number not in analysis.fix_candidates:
             candidates = generate_fix_candidates(case, line_number)
-            original = case.line_text(line_number)
             features = self._fix_extractor.extract_batch(
-                case, original, [c.fixed_line for c in candidates]
+                case, line_number, [c.fixed_line for c in candidates]
             )
             patterns = np.array(
                 [_PATTERN_INDEX.get(c.pattern, _PATTERN_INDEX["keep_line"]) for c in candidates]
             )
+            keys: dict[str, int] = {}
+            for index, candidate in enumerate(candidates):
+                keys.setdefault(normalize_line(candidate.fixed_line), index)
             analysis.fix_candidates[line_number] = candidates
             analysis.fix_features[line_number] = features
             analysis.fix_pattern_indices[line_number] = patterns
+            analysis.fix_keys[line_number] = keys
         return (
             analysis.fix_candidates[line_number],
             analysis.fix_features[line_number],
@@ -186,10 +197,10 @@ class RepairPolicy:
         if line_number not in line_numbers:
             return None
         line_index = line_numbers.index(line_number)
-        candidates, fix_probabilities = self.fix_distribution(case, line_number, temperature)
-        fix_index = _candidate_index(candidates, fixed_line)
+        fix_index = self.fix_index(case, line_number, fixed_line)
         if fix_index is None:
             return None
+        _, fix_probabilities = self.fix_distribution(case, line_number, temperature)
         return float(
             np.log(max(line_probabilities[line_index], 1e-12))
             + np.log(max(fix_probabilities[fix_index], 1e-12))
@@ -281,8 +292,8 @@ class RepairPolicy:
             - line_probabilities @ analysis.line_features
         ) / max(temperature, 1e-3)
 
-        candidates, fix_features, patterns = self.fix_options(case, line_number)
-        fix_index = _candidate_index(candidates, fixed_line)
+        _, fix_features, patterns = self.fix_options(case, line_number)
+        fix_index = self.fix_index(case, line_number, fixed_line)
         if fix_index is None:
             return None
         _, fix_probabilities = self.fix_distribution(case, line_number, temperature)
@@ -300,12 +311,3 @@ class RepairPolicy:
             "fix_features": fix_feature_gradient,
             "fix_patterns": pattern_gradient,
         }
-
-
-def _candidate_index(candidates: list[FixCandidate], fixed_line: str) -> Optional[int]:
-    from repro.hdl.source import lines_equivalent
-
-    for index, candidate in enumerate(candidates):
-        if lines_equivalent(candidate.fixed_line, fixed_line):
-            return index
-    return None

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.model.case import RepairCase
-from repro.model.fixes import find_matching_candidate
 from repro.model.policy import RepairPolicy
 
 
@@ -198,11 +197,7 @@ class SftTrainer:
         return log_likelihood
 
     def _fix_target_index(self, example: _TrainingExample) -> Optional[int]:
-        candidates, _, _ = self._policy.fix_options(example.case, example.line_number)
-        match = find_matching_candidate(candidates, example.golden_line)
-        if match is None:
-            return None
-        return candidates.index(match)
+        return self._policy.fix_index(example.case, example.line_number, example.golden_line)
 
     # ------------------------------------------------------------------ #
     # diagnostics
