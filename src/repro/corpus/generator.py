@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.corpus.corruptor import CorruptedSample, SyntaxCorruptor
 from repro.corpus.metadata import DesignArtifact, DesignFamily
 from repro.corpus.spec import build_spec
 from repro.corpus.templates import all_families, family_by_name
-from repro.runtime import FaultPlan, run_jobs
+from repro.runtime import RunPolicy, run_jobs
 
 
 @dataclass
@@ -28,16 +27,6 @@ class CorpusConfig:
     design_count: int = 120
     corrupted_fraction: float = 0.2
     jitter_widths: bool = True
-    #: Worker-pool size for the per-design build fan-out; <= 1 runs in-process.
-    workers: int = 1
-    #: Failure policy for build jobs: "raise" aborts on the first failure
-    #: (historical behaviour), "quarantine" drops the failed design into
-    #: :attr:`Corpus.skipped` and keeps generating.
-    on_error: str = "raise"
-    #: Per-design build timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to a build job before it is quarantined/raised.
-    max_attempts: int = 1
 
     def corrupted_count(self) -> int:
         return max(1, int(self.design_count * self.corrupted_fraction))
@@ -92,15 +81,11 @@ class CorpusGenerator:
         "register_file": 2,
     }
 
-    def __init__(self, config: CorpusConfig | None = None, fault_plan: FaultPlan | None = None,
-                 tracer=None):
+    def __init__(self, config: CorpusConfig | None = None, policy: RunPolicy = RunPolicy()):
         self._config = config or CorpusConfig()
+        self._policy = policy
         self._random = random.Random(self._config.seed)
         self._families = all_families()
-        #: Deterministic fault injection for the build jobs (tests only).
-        self._fault_plan = fault_plan
-        #: Out-of-band telemetry; never part of the corpus.
-        self._tracer = tracer
 
     @property
     def families(self) -> list[DesignFamily]:
@@ -113,7 +98,9 @@ class CorpusGenerator:
         generator's RNG stream), then the per-design builds -- the actual
         cost -- fan out through :func:`repro.runtime.run_jobs`.  Every job
         carries its own spec seed, drawn up front in instance order, so the
-        corpus is byte-identical for any worker count.
+        corpus is byte-identical for any worker count.  Under
+        ``on_error="quarantine"`` a failed build drops its design into
+        :attr:`Corpus.skipped`.
         """
         corpus = Corpus()
         instances = self._plan_instances(self._config.design_count)
@@ -122,33 +109,12 @@ class CorpusGenerator:
              self._random.randint(0, 1_000_000))
             for index, (family, params) in enumerate(instances)
         ]
-        if self._config.on_error == "quarantine":
-            outcomes = run_jobs(
-                jobs,
-                _build_sample_job,
-                workers=self._config.workers,
-                on_error="quarantine",
-                timeout=self._config.job_timeout,
-                max_attempts=self._config.max_attempts,
-                fault_plan=self._fault_plan,
-                tracer=self._tracer,
-            )
-            corpus.samples = [outcome.result for outcome in outcomes if outcome.ok]
-            corpus.skipped = [
-                {"stage": "corpus", "name": job[2], **outcome.failure.summary()}
-                for job, outcome in zip(jobs, outcomes)
-                if not outcome.ok
-            ]
-        else:
-            corpus.samples = run_jobs(
-                jobs,
-                _build_sample_job,
-                workers=self._config.workers,
-                timeout=self._config.job_timeout,
-                max_attempts=self._config.max_attempts,
-                fault_plan=self._fault_plan,
-                tracer=self._tracer,
-            )
+        samples, corpus.skipped = self._policy.unwrap(
+            run_jobs(jobs, _build_sample_job, **self._policy.job_options()),
+            "corpus",
+            (job[2] for job in jobs),
+        )
+        corpus.samples = [sample for sample in samples if sample is not None]
         corruptor = SyntaxCorruptor(seed=self._config.seed + 1)
         victims = self._random.sample(
             corpus.samples, min(self._config.corrupted_count(), len(corpus.samples))

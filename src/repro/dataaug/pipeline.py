@@ -8,16 +8,17 @@ length-binned module-name split, and returns the finished datasets:
 * ``sva_bug_train``    -- assertion-failure repair training data (with CoTs),
 * ``sva_eval_machine`` -- the held-out 10 % that seeds SVA-Eval-Machine.
 
-Every stage fans out through :mod:`repro.runtime`, and one
-``PipelineConfig.workers`` knob sizes all of them at once; the datasets are
-byte-identical for any worker count (and for cold or warm result cache).
+Every stage fans out through :mod:`repro.runtime` under the one
+:class:`~repro.runtime.RunPolicy` in ``PipelineConfig.run``; the datasets
+are byte-identical for any worker count (and for cold or warm Stage-2
+result cache, ``Stage2Config.cache_dir``).
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.corpus.generator import Corpus, CorpusConfig, CorpusGenerator
@@ -26,16 +27,13 @@ from repro.dataaug.datasets import AugmentedDatasets, DatasetStatistics, SvaBugE
 from repro.dataaug.stage1 import run_stage1
 from repro.dataaug.stage2 import Stage2Config, Stage2Runner
 from repro.dataaug.stage3 import Stage3Config, run_stage3
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    get_registry,
-    resolve_trace_path,
-    set_registry,
-    set_tracer,
-    write_trace,
-)
-from repro.runtime import FaultPlan
+from repro.obs import phase, traced_run
+from repro.runtime import RunPolicy, default_workers
+
+
+def _auto_policy(workers: Optional[int] = None) -> RunPolicy:
+    """The policy for a worker count, detecting cores when it is ``None``."""
+    return RunPolicy(workers=default_workers() if workers is None else workers)
 
 
 @dataclass
@@ -47,23 +45,11 @@ class PipelineConfig:
     stage2: Stage2Config = field(default_factory=Stage2Config)
     stage3: Stage3Config = field(default_factory=Stage3Config)
     train_fraction: float = 0.9
-    #: One worker knob for the whole pipeline: when set, it overrides every
-    #: stage's own worker count (corpus builds, Stage-1 compile checks, the
-    #: Stage-2 fan-out, Stage-3 CoT jobs).  ``None`` leaves the per-stage
-    #: settings alone (Stage 2 then auto-detects cores).  The output is
-    #: byte-identical for any value.
-    workers: Optional[int] = None
-    #: Optional content-addressed result cache directory (threaded to the
-    #: Stage-2 per-sample cache): re-runs only process what changed.
-    cache_dir: Optional[str] = None
-    #: Pipeline-wide failure policy, threaded to every stage: "raise" aborts
-    #: on the first job failure (historical behaviour), "quarantine" skips
-    #: failed jobs and reports them in ``statistics.skipped_jobs``.
-    on_error: str = "raise"
-    #: Pipeline-wide per-job timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Pipeline-wide retry budget per job.
-    max_attempts: int = 1
+    #: How every stage runs its jobs: worker count, failure handling
+    #: ("quarantine" skips failed jobs and reports them in
+    #: ``statistics.skipped_jobs``), per-job timeout and retry budget.  The
+    #: datasets are byte-identical for any worker count.
+    run: RunPolicy = field(default_factory=_auto_policy)
     #: Write a JSONL trace of the run here (``REPRO_TRACE`` is the env
     #: fallback).  Telemetry only: the datasets are byte-identical with
     #: tracing on or off, and this knob is never part of any content key.
@@ -78,10 +64,11 @@ class PipelineConfig:
         return cls(
             seed=seed,
             corpus=CorpusConfig(seed=seed, design_count=10, corrupted_fraction=0.3),
-            stage2=Stage2Config(seed=seed + 1, random_cycles=32, max_bugs_per_design=3),
+            stage2=Stage2Config(
+                seed=seed + 1, random_cycles=32, max_bugs_per_design=3, cache_dir=cache_dir
+            ),
             stage3=Stage3Config(seed=seed + 2),
-            workers=workers,
-            cache_dir=cache_dir,
+            run=_auto_policy(workers),
         )
 
     @classmethod
@@ -92,15 +79,15 @@ class PipelineConfig:
         """The benchmark-scale configuration.
 
         ``workers`` sizes every stage's fan-out (Stage 2 dominates at this
-        scale); the output is identical for any worker count.
+        scale) and ``cache_dir`` holds the Stage-2 result cache; the output
+        is identical for any worker count and cache state.
         """
         return cls(
             seed=seed,
             corpus=CorpusConfig(seed=seed, design_count=design_count),
-            stage2=Stage2Config(seed=seed + 1),
+            stage2=Stage2Config(seed=seed + 1, cache_dir=cache_dir),
             stage3=Stage3Config(seed=seed + 2),
-            workers=workers,
-            cache_dir=cache_dir,
+            run=_auto_policy(workers),
         )
 
 
@@ -110,133 +97,51 @@ class DataAugmentationPipeline:
     After :meth:`run`, :attr:`stage_timings` holds the wall-clock seconds of
     each stage (``corpus`` / ``stage1`` / ``stage2`` / ``split`` /
     ``stage3``) -- telemetry only, never part of the datasets.
+
+    An explicit ``tracer`` is installed for the run and left to its caller
+    to write (the eval CLI merges pipeline and eval into one file); without
+    one, ``config.trace_path`` / ``REPRO_TRACE`` make the run write its own
+    trace (see :func:`repro.obs.traced_run`).
     """
 
-    def __init__(
-        self,
-        config: Optional[PipelineConfig] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        tracer=None,
-    ):
+    def __init__(self, config: Optional[PipelineConfig] = None, tracer=None):
         self._config = config or PipelineConfig()
+        self._tracer = tracer
         self.stage_timings: dict[str, float] = {}
-        #: Deterministic fault injection threaded into every stage (tests only).
-        self._fault_plan = fault_plan
-        #: Tracer ownership: an explicit ``tracer`` means the caller collects
-        #: and writes the trace (the CLI does this to merge pipeline + eval
-        #: into one file); otherwise ``config.trace_path`` / ``REPRO_TRACE``
-        #: make this pipeline own a tracer and write the file after `run`.
-        self._owned_trace_path = (
-            resolve_trace_path(self._config.trace_path) if tracer is None else None
-        )
-        self._tracer = tracer if tracer is not None else (
-            Tracer() if self._owned_trace_path else None
-        )
-
-    def _effective_configs(self) -> tuple[CorpusConfig, Stage2Config, Stage3Config, int]:
-        """Per-stage configs with the pipeline-level knobs threaded through."""
-        config = self._config
-        corpus_config, stage2_config, stage3_config = (
-            config.corpus, config.stage2, config.stage3
-        )
-        if config.workers is not None:
-            corpus_config = replace(corpus_config, workers=config.workers)
-            stage2_config = replace(stage2_config, workers=config.workers)
-            stage3_config = replace(stage3_config, workers=config.workers)
-        if config.cache_dir is not None and stage2_config.cache_dir is None:
-            stage2_config = replace(stage2_config, cache_dir=str(config.cache_dir))
-        fault_knobs = dict(
-            on_error=config.on_error,
-            job_timeout=config.job_timeout,
-            max_attempts=config.max_attempts,
-        )
-        if config.on_error != "raise" or config.job_timeout is not None or config.max_attempts != 1:
-            corpus_config = replace(corpus_config, **fault_knobs)
-            stage2_config = replace(stage2_config, **fault_knobs)
-            stage3_config = replace(stage3_config, **fault_knobs)
-        stage1_workers = config.workers if config.workers is not None else 1
-        return corpus_config, stage2_config, stage3_config, stage1_workers
 
     def run(self, corpus: Optional[Corpus] = None) -> AugmentedDatasets:
         """Execute the full pipeline and return the datasets."""
-        if self._tracer is None:
-            return self._run(corpus)
-        # Install the tracer (and, when this pipeline owns the trace file, a
-        # fresh metrics registry so the file reflects this run alone) as
-        # ambient for the duration; telemetry never touches the datasets.
-        previous_tracer = set_tracer(self._tracer)
-        previous_registry = None
-        if self._owned_trace_path:
-            previous_registry = set_registry(MetricsRegistry())
-        try:
-            with self._tracer.span("pipeline", seed=self._config.seed):
-                datasets = self._run(corpus)
-        finally:
-            registry = get_registry()
-            set_tracer(previous_tracer)
-            if previous_registry is not None:
-                set_registry(previous_registry)
-            if self._owned_trace_path:
-                write_trace(
-                    self._owned_trace_path,
-                    self._tracer,
-                    metrics=registry,
-                    meta={"kind": "pipeline"},
-                )
-        return datasets
+        with traced_run(self._tracer, self._config.trace_path, "pipeline") as tracer:
+            with tracer.span("pipeline", seed=self._config.seed):
+                return self._run(corpus)
 
     def _run(self, corpus: Optional[Corpus] = None) -> AugmentedDatasets:
         config = self._config
-        corpus_config, stage2_config, stage3_config, stage1_workers = (
-            self._effective_configs()
-        )
+        policy = config.run
         statistics = DatasetStatistics()
         timings: dict[str, float] = {}
-        tracer = self._tracer
 
         def timed(label: str, step):
             started = time.perf_counter()
-            if tracer is not None:
-                with tracer.span(f"pipeline.{label}"):
-                    value = step()
-            else:
+            with phase(f"pipeline.{label}"):
                 value = step()
-            elapsed = time.perf_counter() - started
-            timings[label] = elapsed
-            get_registry().observe(f"pipeline.{label}_s", elapsed)
+            timings[label] = time.perf_counter() - started
             return value
 
         corpus = corpus or timed(
-            "corpus",
-            lambda: CorpusGenerator(
-                corpus_config, fault_plan=self._fault_plan, tracer=tracer
-            ).generate(),
+            "corpus", lambda: CorpusGenerator(config.corpus, policy).generate()
         )
         statistics.corpus_samples = len(corpus.samples) + len(corpus.corrupted)
         statistics.skipped_jobs.extend(corpus.skipped)
 
-        stage1 = timed(
-            "stage1",
-            lambda: run_stage1(
-                corpus,
-                workers=stage1_workers,
-                on_error=config.on_error,
-                job_timeout=config.job_timeout,
-                max_attempts=config.max_attempts,
-                fault_plan=self._fault_plan,
-                tracer=tracer,
-            ),
-        )
+        stage1 = timed("stage1", lambda: run_stage1(corpus, policy))
         statistics.filtered_out = stage1.filtered_out
         statistics.compile_failures = stage1.compile_failures
         statistics.verilog_pt_entries = len(stage1.verilog_pt)
         statistics.skipped_jobs.extend(stage1.skipped)
 
         stage2 = timed(
-            "stage2",
-            lambda: Stage2Runner(
-                stage2_config, fault_plan=self._fault_plan, tracer=tracer
-            ).run(stage1.compiled),
+            "stage2", lambda: Stage2Runner(config.stage2, policy).run(stage1.compiled)
         )
         statistics.candidate_svas = stage2.candidate_svas
         statistics.validated_svas = stage2.validated_svas
@@ -254,10 +159,7 @@ class DataAugmentationPipeline:
         )
 
         generated, valid, stage3_skipped = timed(
-            "stage3",
-            lambda: run_stage3(
-                train_entries, stage3_config, fault_plan=self._fault_plan, tracer=tracer
-            ),
+            "stage3", lambda: run_stage3(train_entries, config.stage3, policy)
         )
         statistics.cot_generated = generated
         statistics.cot_valid = valid

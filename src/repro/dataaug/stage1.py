@@ -19,7 +19,7 @@ from repro.corpus.corruptor import CorruptedSample
 from repro.dataaug.datasets import VerilogPTEntry
 from repro.hdl.lint import compile_source
 from repro.hdl.source import normalize_line
-from repro.runtime import FaultPlan, run_jobs
+from repro.runtime import RunPolicy, run_jobs
 
 
 @dataclass
@@ -82,15 +82,7 @@ def _check_sample_job(source: str) -> dict:
     }
 
 
-def run_stage1(
-    corpus: Corpus,
-    workers: int = 1,
-    on_error: str = "raise",
-    job_timeout: float | None = None,
-    max_attempts: int = 1,
-    fault_plan: FaultPlan | None = None,
-    tracer=None,
-) -> Stage1Result:
+def run_stage1(corpus: Corpus, policy: RunPolicy = RunPolicy()) -> Stage1Result:
     """Run Stage 1 over a generated corpus.
 
     The per-sample work (filtering facts + the compile check, the stage's
@@ -109,27 +101,13 @@ def run_stage1(
     considered.extend(
         (sample, corrupted.source, corrupted) for sample, corrupted in corpus.corrupted
     )
-    checks = run_jobs(
-        [source for _, source, _ in considered],
-        _check_sample_job,
-        workers=workers,
-        on_error=on_error,
-        timeout=job_timeout,
-        max_attempts=max_attempts,
-        fault_plan=fault_plan,
-        tracer=tracer,
+    checks, result.skipped = policy.unwrap(
+        run_jobs(
+            [source for _, source, _ in considered], _check_sample_job, **policy.job_options()
+        ),
+        "stage1",
+        (sample.name for sample, _, _ in considered),
     )
-    if on_error == "quarantine":
-        quarantined = checks
-        checks = []
-        for (sample, _source, _corruption), outcome in zip(considered, quarantined):
-            if outcome.ok:
-                checks.append(outcome.result)
-            else:
-                checks.append(None)
-                result.skipped.append(
-                    {"stage": "stage1", "name": sample.name, **outcome.failure.summary()}
-                )
 
     for (sample, source, corruption), check in zip(considered, checks):
         if check is None:  # quarantined above: the sample is simply skipped

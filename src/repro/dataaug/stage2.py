@@ -30,14 +30,7 @@ from repro.corpus.generator import CorpusSample
 from repro.dataaug.datasets import SvaBugEntry, VerilogBugEntry
 from repro.hdl.elaborate import ElaboratedDesign
 from repro.hdl.lint import compile_source
-from repro.runtime import (
-    FaultPlan,
-    ResultCache,
-    content_key,
-    default_workers,
-    derive_seed,
-    run_jobs,
-)
+from repro.runtime import ResultCache, RunPolicy, content_key, derive_seed, run_jobs
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import check_assertions
@@ -63,23 +56,12 @@ class Stage2Config:
     max_mined_assertions: int = 5
     max_bugs_per_design: int = 6
     injection: InjectionConfig = field(default_factory=InjectionConfig)
-    #: Worker-pool size for the per-sample fan-out; <= 1 runs in-process.
-    #: Defaults to the machine's cores (capped, ``REPRO_WORKERS``-overridable).
-    workers: int = field(default_factory=default_workers)
     #: Assertion-checker backend for SVA validation and bug triage
     #: ("auto" | "compiled" | "interp"); both produce identical outcomes.
     checker_backend: str = "auto"
     #: Optional content-addressed result cache directory: per-sample results
     #: are persisted so re-runs only process samples whose inputs changed.
     cache_dir: Optional[str] = None
-    #: Failure policy for per-sample jobs: "raise" aborts the stage on the
-    #: first failure (historical behaviour), "quarantine" records the sample
-    #: in :attr:`Stage2Result.skipped` and keeps going.
-    on_error: str = "raise"
-    #: Per-sample job timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to a sample's job before it is quarantined/raised.
-    max_attempts: int = 1
     #: Static screening of injected mutants: "off" simulates every compiling
     #: mutant (the historical path); "cone" classifies mutants whose edit is
     #: provably outside every validated assertion's cone of influence as
@@ -89,13 +71,13 @@ class Stage2Config:
     #: :meth:`content_fingerprint`.
     static_screen: str = "off"
 
-    def content_fingerprint(self) -> str:
-        """Every config field that can change a per-sample result.
+    def content_fingerprint(self, policy: RunPolicy) -> str:
+        """Every config and policy field that can change a per-sample result.
 
         Worker count and cache location deliberately excluded -- they can
-        only change wall time, never output.  ``job_timeout`` and
-        ``max_attempts`` are *included*: a cached-through failure record is
-        only valid for the fault-tolerance budget it was produced under
+        only change wall time, never output.  The policy's ``job_timeout``
+        and ``max_attempts`` are *included*: a cached-through failure record
+        is only valid for the fault-tolerance budget it was produced under
         (``on_error`` itself only changes aggregation, never a per-sample
         result, so it stays out).
         """
@@ -111,8 +93,8 @@ class Stage2Config:
                 self.injection.max_candidates_per_line,
                 self.injection.require_compile,
                 self.checker_backend,
-                self.job_timeout,
-                self.max_attempts,
+                policy.job_timeout,
+                policy.max_attempts,
                 self.static_screen,
             )
         )
@@ -183,21 +165,15 @@ class Stage2Runner:
     """Runs Stage 2 for a batch of compiled corpus samples.
 
     Samples are independent, so ``run`` fans them out through the shared
-    :func:`repro.runtime.run_jobs` executor when ``config.workers > 1``.
+    :func:`repro.runtime.run_jobs` executor when ``policy.workers > 1``.
     Mutation seeding is derived per sample (from the config seed and the
     sample name), which makes the output identical whether the batch runs
     serially or in parallel, and independent of sample order.
     """
 
-    def __init__(
-        self, config: Optional[Stage2Config] = None, fault_plan: Optional[FaultPlan] = None,
-        tracer=None,
-    ):
+    def __init__(self, config: Optional[Stage2Config] = None, policy: RunPolicy = RunPolicy()):
         self._config = config or Stage2Config()
-        #: Deterministic fault injection for the per-sample jobs (tests only).
-        self._fault_plan = fault_plan
-        #: Out-of-band telemetry; never part of content keys or results.
-        self._tracer = tracer
+        self._policy = policy
 
     def _sample_injector(self, sample: CorpusSample) -> BugInjector:
         """A fresh, deterministically seeded injector for one sample."""
@@ -428,35 +404,26 @@ class Stage2Runner:
         (quarantined failures are cached through too, so warm re-runs make
         the same skip decisions byte-for-byte).
         """
-        config = self._config
-        cache = ResultCache(config.cache_dir) if config.cache_dir else None
-        sample_results = run_jobs(
-            samples,
-            _process_sample_job,
-            workers=config.workers,
-            context=config,
-            cache=cache,
-            key_fn=lambda sample: _sample_key(config, sample),
-            encode=Stage2Result.to_dict,
-            decode=Stage2Result.from_dict,
-            on_error=config.on_error,
-            timeout=config.job_timeout,
-            max_attempts=config.max_attempts,
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
+        config, policy = self._config, self._policy
+        sample_results, skipped = policy.unwrap(
+            run_jobs(
+                samples,
+                _process_sample_job,
+                context=config,
+                cache=ResultCache(config.cache_dir) if config.cache_dir else None,
+                key_fn=lambda sample: _sample_key(config, policy, sample),
+                encode=Stage2Result.to_dict,
+                decode=Stage2Result.from_dict,
+                **policy.job_options(),
+            ),
+            "stage2",
+            (sample.name for sample in samples),
         )
         result = Stage2Result()
-        if config.on_error == "quarantine":
-            for sample, outcome in zip(samples, sample_results):
-                if outcome.ok:
-                    result.merge(outcome.result)
-                else:
-                    result.skipped.append(
-                        {"stage": "stage2", "name": sample.name, **outcome.failure.summary()}
-                    )
-            return result
         for sample_result in sample_results:
-            result.merge(sample_result)
+            if sample_result is not None:
+                result.merge(sample_result)
+        result.skipped.extend(skipped)
         return result
 
 
@@ -467,16 +434,16 @@ def _process_sample_job(sample: CorpusSample, config: Stage2Config) -> Stage2Res
     return result
 
 
-def _sample_key(config: Stage2Config, sample: CorpusSample) -> str:
+def _sample_key(config: Stage2Config, policy: RunPolicy, sample: CorpusSample) -> str:
     """Content address of one sample's Stage-2 result.
 
-    Covers everything the per-sample flow reads: the config (minus
-    wall-time-only knobs), the golden source, the spec, and the artifact
-    fields that feed candidate SVAs.
+    Covers everything the per-sample flow reads: the config and policy
+    (minus wall-time-only knobs), the golden source, the spec, and the
+    artifact fields that feed candidate SVAs.
     """
     return content_key(
         STAGE2_RESULT_VERSION,
-        config.content_fingerprint(),
+        config.content_fingerprint(policy),
         sample.name,
         sample.source,
         sample.spec,

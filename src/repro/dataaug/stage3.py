@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.dataaug.datasets import SvaBugEntry
 from repro.hdl.source import SourceFile, lines_equivalent, strip_comment
-from repro.runtime import FaultPlan, derive_seed, run_jobs
+from repro.runtime import RunPolicy, derive_seed, run_jobs
 from repro.sva.logs import parse_failure_log
 
 
@@ -32,16 +32,6 @@ class Stage3Config:
 
     seed: int = 17
     drift_probability: float = 0.25  # fraction of CoTs that reason to the wrong place
-    #: Worker-pool size for the per-entry fan-out; <= 1 runs in-process.
-    workers: int = 1
-    #: Failure policy for per-entry CoT jobs: "raise" aborts the stage on
-    #: the first failure (historical behaviour), "quarantine" leaves the
-    #: entry without a CoT and records it in the returned skip list.
-    on_error: str = "raise"
-    #: Per-entry job timeout in seconds (None: unlimited).
-    job_timeout: Optional[float] = None
-    #: Executions charged to an entry's job before it is quarantined/raised.
-    max_attempts: int = 1
 
 
 @dataclass
@@ -99,15 +89,9 @@ class CotGenerator:
     sharded across workers.
     """
 
-    def __init__(
-        self, config: Optional[Stage3Config] = None, fault_plan: Optional[FaultPlan] = None,
-        tracer=None,
-    ):
+    def __init__(self, config: Optional[Stage3Config] = None, policy: RunPolicy = RunPolicy()):
         self._config = config or Stage3Config()
-        #: Deterministic fault injection for the per-entry jobs (tests only).
-        self._fault_plan = fault_plan
-        #: Out-of-band telemetry; never part of results.
-        self._tracer = tracer
+        self._policy = policy
 
     def _entry_rng(self, entry: SvaBugEntry) -> random.Random:
         return random.Random(derive_seed(self._config.seed, entry.name))
@@ -168,30 +152,11 @@ class CotGenerator:
         Returns:
             (generated_count, valid_count, skipped_records)
         """
-        config = self._config
-        drafts = run_jobs(
-            entries,
-            _cot_job,
-            workers=config.workers,
-            context=config,
-            on_error=config.on_error,
-            timeout=config.job_timeout,
-            max_attempts=config.max_attempts,
-            fault_plan=self._fault_plan,
-            tracer=self._tracer,
+        drafts, skipped = self._policy.unwrap(
+            run_jobs(entries, _cot_job, context=self._config, **self._policy.job_options()),
+            "stage3",
+            (entry.name for entry in entries),
         )
-        skipped: list[dict] = []
-        if config.on_error == "quarantine":
-            outcomes = drafts
-            drafts = []
-            for entry, outcome in zip(entries, outcomes):
-                if outcome.ok:
-                    drafts.append(outcome.result)
-                else:
-                    drafts.append(None)
-                    skipped.append(
-                        {"stage": "stage3", "name": entry.name, **outcome.failure.summary()}
-                    )
         valid = 0
         generated = 0
         for entry, draft in zip(entries, drafts):
@@ -216,8 +181,7 @@ def _cot_job(entry: SvaBugEntry, config: Stage3Config) -> tuple[str, bool]:
 def run_stage3(
     entries: list[SvaBugEntry],
     config: Optional[Stage3Config] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    tracer=None,
+    policy: RunPolicy = RunPolicy(),
 ) -> tuple[int, int, list[dict]]:
     """Convenience wrapper: annotate ``entries`` with CoTs and return the counts."""
-    return CotGenerator(config, fault_plan=fault_plan, tracer=tracer).annotate(entries)
+    return CotGenerator(config, policy).annotate(entries)

@@ -31,15 +31,16 @@ from repro.eval.harness import EvalConfig, EvalHarness
 from repro.eval.reports import write_reports
 from repro.eval.verifier import SemanticVerifier
 from repro.model.assertsolver_model import AssertSolverModel
-from repro.obs import (
-    MetricsRegistry,
-    Tracer,
-    resolve_trace_path,
-    scoped_registry,
-    set_tracer,
-    write_trace,
-)
+from repro.obs import resolve_trace_path, traced_run
 from repro.runtime import default_workers
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (zero seeds would verify nothing)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,10 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="sft",
         help="how far to train the policy before evaluating",
     )
-    parser.add_argument("--ks", type=int, nargs="+", default=[1, 5], help="report pass@k for these k")
+    parser.add_argument(
+        "--ks", type=positive_int, nargs="+", default=[1, 5], help="report pass@k for these k"
+    )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=default_workers(),
         help=(
             "worker processes for the pipeline stages and verification "
@@ -70,7 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--verification-seeds", type=int, default=2, help="independent stimulus seeds per candidate"
+        "--verification-seeds",
+        type=positive_int,
+        default=2,
+        help="independent stimulus seeds per candidate",
     )
     parser.add_argument(
         "--output-dir", type=Path, default=Path("eval_out"), help="where the reports are written"
@@ -116,22 +122,16 @@ def train_model(stage: str, datasets, seed: int, cache_dir=None) -> AssertSolver
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     trace_path = resolve_trace_path(args.trace)
-    if trace_path is None:
-        return _run(args, tracer=None)
     # One tracer and one metrics registry span the whole run (pipeline,
     # training, eval), written to a single trace file at the end.  The
     # components are handed the tracer explicitly so neither resolves
     # REPRO_TRACE itself and double-writes the same path.
-    tracer = Tracer()
-    previous_tracer = set_tracer(tracer)
-    with scoped_registry(MetricsRegistry()) as registry:
-        try:
-            code = _run(args, tracer=tracer)
-        finally:
-            set_tracer(previous_tracer)
-            write_trace(trace_path, tracer, metrics=registry, meta={"kind": "eval_cli"})
+    try:
+        with traced_run(None, trace_path, "eval_cli") as tracer:
+            return _run(args, tracer=tracer)
+    finally:
+        if trace_path is not None:
             print(f"wrote trace: {trace_path}", file=sys.stderr)
-    return code
 
 
 def _run(args, tracer) -> int:

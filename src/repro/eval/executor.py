@@ -115,7 +115,6 @@ def run_verification_jobs(
     job_timeout: Optional[float] = None,
     max_attempts: int = 1,
     fault_plan: Optional[FaultPlan] = None,
-    tracer=None,
     artifact_dir: Optional[Path | str] = None,
     artifact_mode: str = "incremental",
 ) -> list[ShardResult]:
@@ -143,7 +142,6 @@ def run_verification_jobs(
         timeout=job_timeout,
         max_attempts=max_attempts,
         fault_plan=fault_plan,
-        tracer=tracer,
     )
     if on_error != "quarantine":
         return results

@@ -32,16 +32,7 @@ from repro.eval.verifier import (
 )
 from repro.model.case import RepairCase
 from repro.model.response import RepairEngine
-from repro.obs import (
-    NULL_TRACER,
-    MetricsRegistry,
-    Tracer,
-    get_registry,
-    resolve_trace_path,
-    set_registry,
-    set_tracer,
-    write_trace,
-)
+from repro.obs import get_tracer, traced_run
 
 
 @dataclass
@@ -242,46 +233,22 @@ class EvalHarness:
         self._fault_plan = fault_plan
         #: Tracer ownership mirrors the pipeline: an explicit ``tracer``
         #: means the caller writes the trace; otherwise ``config.trace_path``
-        #: / ``REPRO_TRACE`` make this harness own one and write it after
-        #: :meth:`run`.
-        self._owned_trace_path = (
-            resolve_trace_path(self.config.trace_path) if tracer is None else None
-        )
-        self._tracer = tracer if tracer is not None else (
-            Tracer() if self._owned_trace_path else None
-        )
+        #: / ``REPRO_TRACE`` make :meth:`run` write its own
+        #: (see :func:`repro.obs.traced_run`).
+        self._tracer = tracer
 
     def _case_seed(self, name: str) -> int:
         return (zlib.crc32(name.encode()) ^ self.config.seed) & 0x7FFFFFFF
 
     def run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:
         """Sample, verify and score ``engine`` over ``entries``."""
-        if self._tracer is None:
-            return self._run(engine, entries)
-        previous_tracer = set_tracer(self._tracer)
-        previous_registry = None
-        if self._owned_trace_path:
-            previous_registry = set_registry(MetricsRegistry())
-        try:
-            with self._tracer.span("eval", engine=engine.name, cases=len(entries)):
-                report = self._run(engine, entries)
-        finally:
-            registry = get_registry()
-            set_tracer(previous_tracer)
-            if previous_registry is not None:
-                set_registry(previous_registry)
-            if self._owned_trace_path:
-                write_trace(
-                    self._owned_trace_path,
-                    self._tracer,
-                    metrics=registry,
-                    meta={"kind": "eval"},
-                )
-        return report
+        with traced_run(self._tracer, self.config.trace_path, "eval") as tracer:
+            with tracer.span("eval", engine=engine.name, cases=len(entries)):
+                return self._run(engine, entries)
 
     def _run(self, engine: RepairEngine, entries: Sequence[SvaBugEntry]) -> EvalReport:
         config = self.config
-        tracer = self._tracer if self._tracer is not None else NULL_TRACER
+        tracer = get_tracer()
         ordered = sorted(entries, key=lambda entry: entry.name)
 
         propose_span = tracer.span("eval.propose")
@@ -349,7 +316,6 @@ class EvalHarness:
                 job_timeout=config.job_timeout,
                 max_attempts=config.max_attempts,
                 fault_plan=self._fault_plan,
-                tracer=self._tracer,
                 artifact_dir=config.artifact_dir,
                 artifact_mode=config.artifact_mode,
             )

@@ -25,6 +25,10 @@ pins end to end.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Optional, Union
 
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -84,6 +88,40 @@ def annotate(**attrs) -> None:
     get_tracer().annotate(**attrs)
 
 
+@contextmanager
+def traced_run(
+    tracer: Optional[Union[Tracer, NullTracer]],
+    trace_path: Optional[Union[str, Path]],
+    kind: str,
+) -> Iterator[Union[Tracer, NullTracer]]:
+    """Make one run's tracer ambient for the block; yields the ambient tracer.
+
+    * An explicit ``tracer`` is installed only: its caller collects and
+      writes it (the eval CLI merges pipeline and eval into one file).
+    * Otherwise ``trace_path`` (``REPRO_TRACE`` as fallback) makes the block
+      own a fresh :class:`Tracer` and :class:`MetricsRegistry`, written to
+      that path on exit with ``meta.kind = kind``.
+    * With neither, the block runs under whatever tracer is ambient.
+    """
+    path = resolve_trace_path(trace_path) if tracer is None else None
+    if tracer is None and path is None:
+        yield get_tracer()
+        return
+    active = tracer if tracer is not None else Tracer()
+    previous = set_tracer(active)
+    try:
+        if path is None:
+            yield active
+            return
+        with scoped_registry() as registry:
+            try:
+                yield active
+            finally:
+                write_trace(path, active, metrics=registry, meta={"kind": kind})
+    finally:
+        set_tracer(previous)
+
+
 __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
@@ -106,6 +144,7 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "split_label",
+    "traced_run",
     "write_chrome_trace",
     "write_trace",
 ]

@@ -15,7 +15,10 @@ hand-rolling a ``multiprocessing`` pool:
   that :class:`repro.eval.cache.VerdictCache` specialises;
 * :class:`JobOutcome` / :class:`JobFailure` -- structured per-job results
   under ``on_error="quarantine"``, and :class:`FaultPlan` -- the
-  deterministic fault-injection harness the recovery tests drive.
+  deterministic fault-injection harness the recovery tests drive;
+* :class:`RunPolicy` -- the one execution policy (workers, failure
+  handling, timeout, retries, fault plan) every pipeline stage takes, with
+  :meth:`RunPolicy.unwrap` turning quarantined outcomes into skip records.
 
 Adopters: corpus generation (per-design jobs), Stage 1 (per-sample compile
 checks), Stage 2 (per-sample SVA validation + bug injection), Stage 3
@@ -28,6 +31,7 @@ from repro.runtime.executor import (
     MAX_CHUNKSIZE,
     WORKERS_ENV,
     auto_chunksize,
+    check_failure_options,
     default_workers,
     derive_seed,
     run_jobs,
@@ -44,6 +48,7 @@ from repro.runtime.faults import (
     JobTimeoutError,
     WorkerCrashError,
 )
+from repro.runtime.policy import RunPolicy
 
 __all__ = [
     "DEFAULT_WORKER_CAP",
@@ -58,9 +63,11 @@ __all__ = [
     "JobTimeoutError",
     "MAX_CHUNKSIZE",
     "ResultCache",
+    "RunPolicy",
     "WORKERS_ENV",
     "WorkerCrashError",
     "auto_chunksize",
+    "check_failure_options",
     "content_key",
     "default_workers",
     "derive_seed",

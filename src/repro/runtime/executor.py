@@ -70,8 +70,8 @@ with a ``timeout`` (or ``isolate=True``) runs through a pool even for
 ``workers=1``; without either, single-worker runs stay in-process and a
 worker exception is the only recoverable failure there.
 
-One platform note: because several stage configs default their worker
-count to :func:`default_workers`, library code that reaches ``run_jobs``
+One platform note: because the pipeline configurations default their
+worker count to :func:`default_workers`, library code that reaches ``run_jobs``
 from a top-level script must live behind the standard
 ``if __name__ == "__main__":`` guard on multiprocessing start methods that
 re-import the main module (``spawn``/``forkserver``) -- the usual
@@ -269,6 +269,20 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         process.join(timeout=5)
 
 
+def check_failure_options(on_error: str, timeout: Optional[float], max_attempts: int) -> None:
+    """Reject failure-handling settings :func:`run_jobs` cannot honour.
+
+    A non-positive ``timeout`` would arm a deadline that has already
+    passed, so whether a job survived would depend on the watchdog tick.
+    """
+    if on_error not in ("raise", "quarantine"):
+        raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be > 0 seconds or None, not {timeout!r}")
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
+
+
 def run_jobs(
     jobs: Sequence[Any],
     worker_fn: Callable,
@@ -315,7 +329,7 @@ def run_jobs(
             run, exactly as before this layer existed) or ``"quarantine"``
             (the run completes; returns per-job
             :class:`~repro.runtime.faults.JobOutcome` records).
-        timeout: per-job wall-clock budget in seconds.  Enforced at chunk
+        timeout: per-job wall-clock budget in seconds (> 0).  Enforced at chunk
             granularity (a chunk's deadline is ``timeout * len(chunk)``)
             with exact per-job enforcement on singleton re-runs; forces the
             pooled path so a hung worker can be killed.
@@ -343,10 +357,7 @@ def run_jobs(
         for any worker count.  With ``on_error="quarantine"``: one
         :class:`~repro.runtime.faults.JobOutcome` per job, same order.
     """
-    if on_error not in ("raise", "quarantine"):
-        raise ValueError(f"on_error must be 'raise' or 'quarantine', not {on_error!r}")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
+    check_failure_options(on_error, timeout, max_attempts)
     if cache is not None and key_fn is None:
         raise ValueError("run_jobs(cache=...) requires key_fn")
     jobs = list(jobs)
@@ -577,10 +588,21 @@ class _PendingRun:
 
         try:
             while queue or inflight:
+                broken = False
                 while queue and len(inflight) < workers:
-                    submit(pool, queue.popleft())
+                    try:
+                        submit(pool, queue[0])
+                    except BrokenProcessPool:
+                        # A worker died after the last wait() returned: the
+                        # chunk was never submitted, and the chunks still in
+                        # flight are collected as lost below.
+                        broken = True
+                        break
+                    queue.popleft()
                 tick = _WATCHDOG_TICK_S if self.timeout is not None else None
-                done, _ = wait(list(inflight), timeout=tick, return_when=FIRST_COMPLETED)
+                done, _ = wait(
+                    list(inflight), timeout=0 if broken else tick, return_when=FIRST_COMPLETED
+                )
                 lost: list[tuple[int, ...]] = []
                 for future in done:
                     chunk, _deadline = inflight.pop(future)
@@ -590,7 +612,7 @@ class _PendingRun:
                         lost.append(chunk)
                     else:
                         self._absorb_chunk(chunk, entries)
-                if lost:
+                if lost or broken:
                     # A worker death breaks the whole pool: every chunk still
                     # in flight is lost with it.  The loss is attributable
                     # only when exactly one job was in flight -- otherwise

@@ -285,7 +285,7 @@ def test_stage2_cone_screen_only_reroutes_verilog_bug_classification():
 
     def config(mode):
         return Stage2Config(
-            seed=5, random_cycles=20, max_bugs_per_design=4, workers=1, static_screen=mode
+            seed=5, random_cycles=20, max_bugs_per_design=4, static_screen=mode
         )
 
     off = run_stage2(samples, config("off"))

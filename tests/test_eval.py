@@ -380,3 +380,27 @@ def test_challenging_cases_are_mined_by_behaviour():
     assert len(triples) == 1
     negatives = triples[0].negatives
     assert negatives == [(10, "else y <= a ^ b;")]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--verification-seeds", "0"],
+        ["--ks", "1", "0"],
+        ["--workers", "0"],
+        ["--workers", "-2"],
+    ],
+)
+def test_eval_cli_rejects_counts_below_one(argv, monkeypatch, capsys):
+    """Zero verification seeds would simulate nothing and report every
+    candidate as passing; the CLI refuses such counts before any work."""
+    from repro.eval import __main__ as cli
+
+    def no_pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline must not run for rejected arguments")
+
+    monkeypatch.setattr(cli, "DataAugmentationPipeline", no_pipeline)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err

@@ -6,6 +6,7 @@ the result cache, and the adopters' skipped-job / ``infra_error`` surfacing
 
 import os
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from repro.runtime import (
     InjectedFault,
     JobTimeoutError,
     ResultCache,
+    RunPolicy,
     WorkerCrashError,
     auto_chunksize,
     content_key,
@@ -54,6 +56,21 @@ def raise_on_job_2(job):
 def corpus_job_name(job):
     """Fault key for corpus build jobs: ``(family, params, name, seed)``."""
     return job[2]
+
+
+def pipeline_job_key(job):
+    """A stage-qualified fault key for every pipeline job type: corpus builds
+    are tuples, Stage-1 checks are source strings, Stage-2 jobs are corpus
+    samples and Stage-3 jobs are SVA-Bug entries."""
+    from repro.corpus.generator import CorpusSample
+
+    if isinstance(job, tuple):
+        return f"corpus:{job[2]}"
+    if isinstance(job, str):
+        return f"stage1:{job}"
+    if isinstance(job, CorpusSample):
+        return f"stage2:{job.name}"
+    return f"stage3:{job.name}"
 
 
 def assert_unaffected_jobs_match(outcomes, clean, faulted: set[str]):
@@ -108,6 +125,45 @@ def test_quarantine_survives_a_worker_crash(tmp_path, workers, isolate):
     assert_unaffected_jobs_match(outcomes, run_jobs(JOBS, stamp), {"job_2"})
     assert outcomes[2].failure.phase == PHASE_WORKER_DEATH
     assert outcomes[2].failure.exception_type == "WorkerCrashError"
+
+
+def test_a_pool_that_breaks_between_waits_is_rebuilt(monkeypatch):
+    """A worker can die after ``wait()`` returns and before the next
+    submission, so ``submit`` itself raises ``BrokenProcessPool`` while the
+    dead worker's future is still pending.  A fake pool replays that order
+    of events deterministically: the unsubmitted chunk must run on the
+    rebuilt pool and the loss be charged to the one chunk in flight."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.runtime.executor as executor
+
+    class ReplayedPool:
+        created = 0
+
+        def __init__(self, max_workers, mp_context):
+            self.first = ReplayedPool.created == 0
+            ReplayedPool.created += 1
+            self.submitted = 0
+
+        def submit(self, fn, payload):
+            self.submitted += 1
+            future = Future()
+            if self.first and self.submitted == 2:
+                raise BrokenProcessPool("a worker died")
+            if not self.first:
+                future.set_result(fn(payload))
+            return future  # the first pool's first chunk never completes
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", ReplayedPool)
+    outcomes = run_jobs(JOBS, stamp, workers=2, on_error="quarantine")
+    assert ReplayedPool.created == 2
+    assert not outcomes[0].ok
+    assert outcomes[0].failure.phase == PHASE_WORKER_DEATH
+    assert [outcome.result for outcome in outcomes[1:]] == [stamp(job) for job in JOBS[1:]]
 
 
 # ---------------------------------------------------------------------- #
@@ -299,7 +355,7 @@ def test_corpus_generator_quarantines_failed_builds(tmp_path):
         victim, FAULT_RAISE
     )
     corpus = CorpusGenerator(
-        CorpusConfig(design_count=6, on_error="quarantine"), fault_plan=plan
+        CorpusConfig(design_count=6), RunPolicy(on_error="quarantine", fault_plan=plan)
     ).generate()
     assert [s.name for s in corpus.samples] == [
         s.name for s in clean.samples if s.name != victim
@@ -320,9 +376,11 @@ def test_stage2_runner_quarantines_failed_samples(tmp_path):
     assert len(compiled) >= 2
     victim = compiled[0].name
     plan = FaultPlan(tmp_path / "plan").inject(victim, FAULT_RAISE)
-    config = Stage2Config(random_cycles=16, max_bugs_per_design=2, on_error="quarantine")
-    faulted = Stage2Runner(config, fault_plan=plan).run(compiled)
-    clean = Stage2Runner(config).run(compiled)
+    config = Stage2Config(random_cycles=16, max_bugs_per_design=2)
+    faulted = Stage2Runner(config, RunPolicy(on_error="quarantine", fault_plan=plan)).run(
+        compiled
+    )
+    clean = Stage2Runner(config, RunPolicy(on_error="quarantine")).run(compiled)
 
     (record,) = faulted.skipped
     assert record["stage"] == "stage2" and record["name"] == victim
@@ -338,14 +396,52 @@ def test_pipeline_surfaces_quarantined_jobs_in_statistics(tmp_path):
     victim = clean.sva_bug_train[0].name
     plan = FaultPlan(tmp_path / "plan").inject(victim, FAULT_RAISE)
     config = PipelineConfig.small()
-    config.on_error = "quarantine"
-    datasets = DataAugmentationPipeline(config, fault_plan=plan).run()
+    config.run = replace(config.run, on_error="quarantine", fault_plan=plan)
+    datasets = DataAugmentationPipeline(config).run()
 
     (record,) = datasets.statistics.skipped_jobs
     assert record["stage"] == "stage3" and record["name"] == victim
     assert datasets.statistics.cot_generated == clean.statistics.cot_generated - 1
     entry = next(e for e in datasets.sva_bug_train if e.name == victim)
     assert entry.cot is None and entry.cot_valid is False
+
+
+def test_one_run_policy_reaches_every_stage(tmp_path):
+    """``PipelineConfig.run`` is the only place execution policy lives: one
+    quarantining policy with one planned fault per stage must yield exactly
+    one skip record per stage."""
+    from repro.corpus.generator import CorpusGenerator
+    from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
+
+    clean = DataAugmentationPipeline(PipelineConfig.small()).run()
+    stage2_victim = clean.sva_bug_train[0].design_name
+    samples = CorpusGenerator(PipelineConfig.small().corpus).generate().samples
+    corpus_victim, stage1_victim = [s for s in samples if s.name != stage2_victim][:2]
+
+    def run(plan):
+        config = PipelineConfig.small()
+        config.run = RunPolicy(on_error="quarantine", fault_plan=plan)
+        return DataAugmentationPipeline(config).run()
+
+    plan = (
+        FaultPlan(tmp_path / "plan", key_fn=pipeline_job_key)
+        .inject(f"corpus:{corpus_victim.name}", FAULT_RAISE)
+        .inject(f"stage1:{stage1_victim.source}", FAULT_RAISE)
+        .inject(f"stage2:{stage2_victim}", FAULT_RAISE)
+    )
+    # Stage 3 sees only what survived the first three faults, so its victim
+    # is chosen from a run with those faults in place.
+    stage3_victim = run(plan).sva_bug_train[0].name
+    datasets = run(plan.inject(f"stage3:{stage3_victim}", FAULT_RAISE))
+
+    records = datasets.statistics.skipped_jobs
+    assert [(r["stage"], r["name"]) for r in records] == [
+        ("corpus", corpus_victim.name),
+        ("stage1", stage1_victim.name),
+        ("stage2", stage2_victim),
+        ("stage3", stage3_victim),
+    ]
+    assert {r["exception_type"] for r in records} == {"InjectedFault"}
 
 
 def test_quarantine_mode_without_faults_is_byte_identical():
@@ -355,7 +451,7 @@ def test_quarantine_mode_without_faults_is_byte_identical():
 
     base = DataAugmentationPipeline(PipelineConfig.small()).run()
     config = PipelineConfig.small()
-    config.on_error = "quarantine"
+    config.run = replace(config.run, on_error="quarantine")
     quarantined = DataAugmentationPipeline(config).run()
     assert [e.to_dict() for e in quarantined.sva_bug_train] == [
         e.to_dict() for e in base.sva_bug_train

@@ -9,6 +9,7 @@ from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.dataaug.stage1 import run_stage1
 from repro.dataaug.stage3 import CotGenerator, Stage3Config
+from repro.runtime import RunPolicy
 
 
 def dataset_bytes(datasets) -> str:
@@ -58,8 +59,9 @@ def test_pipeline_records_stage_timings():
 
 
 def test_corpus_generator_is_worker_count_invariant():
-    serial = CorpusGenerator(CorpusConfig(seed=5, design_count=12, workers=1)).generate()
-    fanned = CorpusGenerator(CorpusConfig(seed=5, design_count=12, workers=3)).generate()
+    config = CorpusConfig(seed=5, design_count=12)
+    serial = CorpusGenerator(config, RunPolicy(workers=1)).generate()
+    fanned = CorpusGenerator(config, RunPolicy(workers=3)).generate()
     assert [(s.name, s.source, s.spec) for s in serial.samples] == [
         (s.name, s.source, s.spec) for s in fanned.samples
     ]
@@ -72,8 +74,8 @@ def test_stage1_is_worker_count_invariant():
     corpus = CorpusGenerator(
         CorpusConfig(seed=5, design_count=12, corrupted_fraction=0.4)
     ).generate()
-    serial = run_stage1(corpus, workers=1)
-    fanned = run_stage1(corpus, workers=3)
+    serial = run_stage1(corpus, RunPolicy(workers=1))
+    fanned = run_stage1(corpus, RunPolicy(workers=3))
     assert [s.name for s in serial.compiled] == [s.name for s in fanned.compiled]
     assert [vars(e) for e in serial.verilog_pt] == [vars(e) for e in fanned.verilog_pt]
     assert (serial.filtered_out, serial.compile_failures) == (
@@ -93,9 +95,9 @@ def stage3_entries():
 def test_stage3_is_worker_count_invariant(stage3_entries):
     def annotate(workers):
         entries = [entry.from_dict(entry.to_dict()) for entry in stage3_entries]
-        CotGenerator(Stage3Config(seed=3, drift_probability=0.5, workers=workers)).annotate(
-            entries
-        )
+        CotGenerator(
+            Stage3Config(seed=3, drift_probability=0.5), RunPolicy(workers=workers)
+        ).annotate(entries)
         return [(entry.name, entry.cot, entry.cot_valid) for entry in entries]
 
     assert annotate(1) == annotate(4)

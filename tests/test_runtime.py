@@ -11,6 +11,7 @@ import pytest
 from repro.runtime import (
     DEFAULT_WORKER_CAP,
     ResultCache,
+    RunPolicy,
     content_key,
     default_workers,
     derive_seed,
@@ -119,6 +120,42 @@ def test_run_jobs_cache_serves_warm_runs_without_recomputing(tmp_path):
 def test_run_jobs_cache_requires_key_fn(tmp_path):
     with pytest.raises(ValueError):
         run_jobs([1], square, cache=ResultCache(tmp_path))
+
+
+@pytest.mark.parametrize("timeout", [0, -1])
+def test_run_jobs_rejects_a_non_positive_timeout(timeout):
+    """A deadline that has already passed would make survival depend on the
+    watchdog tick, so it is refused before any job runs."""
+    with pytest.raises(ValueError, match="timeout"):
+        run_jobs([1, 2], square, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"job_timeout": 0},
+        {"job_timeout": -1.0},
+        {"max_attempts": 0},
+        {"on_error": "ignore"},
+    ],
+)
+def test_run_policy_is_validated_when_built(options):
+    with pytest.raises(ValueError):
+        RunPolicy(**options)
+
+
+def test_run_policy_unwraps_quarantined_outcomes():
+    from repro.runtime import JobFailure, JobOutcome
+
+    failure = JobFailure(phase="worker", exception_type="Boom", message="no", traceback="tb")
+    outcomes = [JobOutcome(ok=True, result=1), JobOutcome(ok=False, failure=failure)]
+    results, skipped = RunPolicy(on_error="quarantine").unwrap(outcomes, "stage1", ["a", "b"])
+    assert results == [1, None]
+    assert skipped == [
+        {"stage": "stage1", "name": "b", "phase": "worker", "exception_type": "Boom",
+         "message": "no"}
+    ]
+    assert RunPolicy().unwrap([1, 2], "stage1", ["a", "b"]) == ([1, 2], [])
 
 
 # ---------------------------------------------------------------------- #

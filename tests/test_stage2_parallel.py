@@ -4,6 +4,7 @@ from repro.corpus.generator import CorpusConfig, CorpusGenerator
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig
 from repro.dataaug.stage1 import run_stage1
 from repro.dataaug.stage2 import Stage2Config, Stage2Runner
+from repro.runtime import RunPolicy
 
 
 def fingerprint(result):
@@ -28,14 +29,48 @@ def compiled_samples(seed: int = 42, count: int = 6):
     return run_stage1(corpus).compiled
 
 
+def test_sample_key_is_pinned():
+    """Stage-2 cache keys must not drift: a cache written by an earlier
+    version of the pipeline is only reusable if the key of every sample is
+    byte-identical.  The digests below were computed before the execution
+    knobs moved from ``Stage2Config`` into ``RunPolicy``."""
+    from repro.corpus.generator import CorpusSample
+    from repro.corpus.metadata import DesignArtifact
+    from repro.dataaug.stage2 import _sample_key
+
+    sample = CorpusSample(
+        artifact=DesignArtifact(
+            name="counter_0007",
+            family="counter",
+            source=(
+                "module counter_0007(input clk, output reg [3:0] q);\n"
+                "  always @(posedge clk) q <= q + 1;\nendmodule\n"
+            ),
+            description="A free-running counter.",
+            template_svas=["property p_inc; 1; endproperty\na_inc: assert property (p_inc);"],
+        ),
+        spec="The counter increments every cycle.",
+    )
+    config = Stage2Config()
+    assert config.content_fingerprint(RunPolicy()) == "11|48|5|6|7|6|3|True|auto|None|1|off"
+    assert _sample_key(config, RunPolicy(), sample) == (
+        "fc9378ef273cc68c816d79f797191177be94a57166bd99fc217513f3c457b03f"
+    )
+    budget = RunPolicy(job_timeout=30.0, max_attempts=3)
+    assert _sample_key(config, budget, sample) == (
+        "1807d0f0af83355db96abf8a22ff0050fced71a914f02a9e46961c5599bd35ee"
+    )
+    # Worker count and failure aggregation never reach the key.
+    assert _sample_key(config, RunPolicy(workers=4, on_error="quarantine"), sample) == (
+        _sample_key(config, RunPolicy(), sample)
+    )
+
+
 def test_parallel_equals_serial():
     samples = compiled_samples()
-    serial = Stage2Runner(
-        Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3, workers=1)
-    ).run(samples)
-    parallel = Stage2Runner(
-        Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3, workers=2)
-    ).run(samples)
+    config = Stage2Config(seed=5, random_cycles=20, max_bugs_per_design=3)
+    serial = Stage2Runner(config, RunPolicy(workers=1)).run(samples)
+    parallel = Stage2Runner(config, RunPolicy(workers=2)).run(samples)
     assert fingerprint(serial) == fingerprint(parallel)
     assert serial.injected_bugs > 0
 
