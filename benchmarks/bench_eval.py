@@ -88,7 +88,7 @@ from repro.model.assertsolver_model import AssertSolverModel  # noqa: E402
 from repro.obs import host_metadata  # noqa: E402
 from repro.obs.metrics import scoped_registry  # noqa: E402
 from repro.sim.compile import CompileError, compile_design  # noqa: E402
-from repro.sva.checker import CheckerBackend  # noqa: E402
+from repro.sva.compile import CompiledAssertionChecker  # noqa: E402
 
 #: Relower-microbench sizing: mutants measured and timing repetitions each.
 RELOWER_ENTRIES = 10
@@ -123,18 +123,18 @@ def relower_microbench(entries) -> dict:
             continue
         try:
             base_compiled = compile_design(base_design)
-            base_checker = CheckerBackend(base_design)
+            base_checker = CompiledAssertionChecker(base_design)
         except CompileError:
             continue
         measured += 1
         for _ in range(RELOWER_REPS):
             started = time.perf_counter()
             compile_design(mutant_design)
-            CheckerBackend(mutant_design)
+            CompiledAssertionChecker(mutant_design)
             full_wall += time.perf_counter() - started
             started = time.perf_counter()
             compile_design(mutant_design, base=base_compiled)
-            CheckerBackend(mutant_design, base=base_checker)
+            CompiledAssertionChecker(mutant_design, base=base_checker)
             incremental_wall += time.perf_counter() - started
     return {
         "entries": measured,

@@ -8,7 +8,7 @@ its template + mined assertions, like Stage 2 produces):
 * the resulting speedup,
 
 plus an end-to-end leg through :class:`repro.eval.verifier.SemanticVerifier`
-(compile -> simulate -> check on fresh seeds) with each checker backend, and
+(compile -> simulate -> check on fresh seeds) with each checker, and
 writes everything to ``BENCH_sva.json`` so successive PRs can track the
 trajectory next to ``BENCH_sim.json`` and ``BENCH_eval.json``.
 
@@ -53,8 +53,9 @@ The compiled checker has one engine, the attempt tensor
 (:func:`repro.sva.vector.walk_attempts_tensor`), and ``check_batch``
 stacks a batch's per-seed columns into one padded (seed x cycle) grid so
 each assertion covers all seeds in a single 2-D pass.  The run hard-fails
-on any verdict divergence between the tensor and the tree-walker, and
-between the stacked batch pass and per-trace checking.
+on any family assertion the lowering demotes to the tree-walker, on any
+verdict divergence between the tensor and the tree-walker, and between the
+stacked batch pass and per-trace checking.
 
 v5 drops v4's ``walk``/``closure`` legs (``walk_checks_per_s``,
 ``closure_checks_per_s``, ``vector_speedup``, ``attempt_speedup`` and the
@@ -71,9 +72,11 @@ import math
 import sys
 import time
 from pathlib import Path
+from unittest.mock import patch
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.artifacts import ArtifactStore  # noqa: E402
 from repro.corpus.templates import all_families  # noqa: E402
 from repro.eval.verifier import SemanticVerifier, VerifierConfig  # noqa: E402
 from repro.hdl.lint import compile_source  # noqa: E402
@@ -149,8 +152,19 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
     interp_s = _best_of(repeat, lambda: interp.check(trace))
 
     start = time.perf_counter()
-    compiled = CompiledAssertionChecker(design, strict=True)
+    compiled = CompiledAssertionChecker(design)
     lower_ms = (time.perf_counter() - start) * 1e3
+    # Every family must lower all-tensor: a demotion to the tree-walker is a
+    # lowering regression, and would make this leg time the oracle twice.
+    demoted = [
+        name
+        for name, choice in compiled.engine_report()["assertions"].items()
+        if choice["engine"] == "tree_walker"
+    ]
+    if demoted:
+        raise SystemExit(
+            f"FAIL: {family.name}: assertions demoted to the tree-walker: {', '.join(demoted)}"
+        )
     compiled_s = _best_of(repeat, lambda: compiled.check(trace))
 
     # Multi-trace batch leg: all seed traces through one check_batch pass
@@ -188,28 +202,34 @@ def bench_family(family, cycles: int, repeat: int) -> dict | None:
 
 
 def bench_verifier(cycles: int, families: list) -> dict:
-    """End-to-end repro.eval leg: apply-fix verification with each backend.
+    """End-to-end repro.eval leg: apply-fix verification with each checker.
 
-    Each case compiles and simulates identically; only the checker backend
-    differs, so the delta is exactly what the compiled checker buys the
-    verification fan-out per candidate.
+    Each case compiles and simulates identically; only the checker differs
+    (the tree-walking leg swaps it in at the artifact store, where the
+    verifier gets its checkers), so the delta is exactly what the compiled
+    checker buys the verification fan-out per candidate.
     """
     sources = [s for s in (augmented_source(f) for f in families) if s is not None]
     seeds = (1009, 2027)
-    walls = {}
-    for backend in ("interp", "auto"):
-        verifier = SemanticVerifier(
-            VerifierConfig(cycles=cycles, checker_backend=backend)
-        )
+
+    def timed_leg() -> float:
+        verifier = SemanticVerifier(VerifierConfig(cycles=cycles))
         start = time.perf_counter()
         for source in sources:
             verifier.verify_source(source, seeds)
-        walls[backend] = time.perf_counter() - start
+        return time.perf_counter() - start
+
+    def tree_walker(store, design, base=None):
+        return AssertionChecker(design)
+
+    with patch.object(ArtifactStore, "checker", tree_walker):
+        interp_wall = timed_leg()
+    compiled_wall = timed_leg()
     return {
         "cases": len(sources),
-        "interp_wall_s": round(walls["interp"], 3),
-        "compiled_wall_s": round(walls["auto"], 3),
-        "speedup": round(walls["interp"] / max(walls["auto"], 1e-9), 2),
+        "interp_wall_s": round(interp_wall, 3),
+        "compiled_wall_s": round(compiled_wall, 3),
+        "speedup": round(interp_wall / max(compiled_wall, 1e-9), 2),
     }
 
 

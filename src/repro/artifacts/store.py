@@ -7,10 +7,10 @@ three levels:
 
 * an **in-process LRU** keyed by :func:`~repro.artifacts.canon.design_fingerprint`
   holds lowered state -- :class:`~repro.sim.compile.CompiledDesign` and
-  :class:`~repro.sva.checker.CheckerBackend` instances.  Lowered closures
-  are process-local by nature (they do not pickle), so this tier is bounded
-  (``REPRO_ARTIFACT_LRU``, default 128 entries) and evicts least-recently
-  used entries instead of pinning them forever;
+  :class:`~repro.sva.compile.CompiledAssertionChecker` instances.  Lowered
+  closures are process-local by nature (they do not pickle), so this tier is
+  bounded (``REPRO_ARTIFACT_LRU``, default 128 entries) and evicts
+  least-recently used entries instead of pinning them forever;
 * an optional **on-disk tier** (a :class:`~repro.runtime.cache.ResultCache`)
   shares *elaborated designs* across worker processes, keyed by the SHA-256
   of the source text: a worker that misses in memory skips the parse +
@@ -20,8 +20,9 @@ three levels:
   diagnosed once per fleet, not once per worker);
 * **incremental relowering**: the typed helpers accept a ``base`` artifact
   and hand it to :func:`repro.sim.compile.compile_design` /
-  :func:`repro.sva.checker.CheckerBackend`, which reuse the base's closures
-  for every content-identical node and relower only the dirty cone.
+  :class:`repro.sva.compile.CompiledAssertionChecker`, which reuse the
+  base's closures for every content-identical node and relower only the
+  dirty cone.
 
 Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``,
 ``artifact.disk.hits`` / ``artifact.disk.misses``) land in the ambient
@@ -161,19 +162,20 @@ class ArtifactStore:
             self.put(key, entry)
         return None if entry is _UNCOMPILABLE else entry
 
-    def checker(self, design: ElaboratedDesign, backend: str = "auto", base=None):
-        """An assertion checker for ``design``, via the LRU (per backend).
+    def checker(self, design: ElaboratedDesign, base=None):
+        """The compiled assertion checker for ``design``, via the LRU.
 
-        The strict ``"compiled"`` backend can raise
-        :class:`~repro.sim.compile.CompileError` exactly as the factory
-        does; failures are not cached.
+        Never fails to construct: an assertion the lowering refuses is
+        demoted to the tree-walker and recorded in ``engine_report()``.
+        ``base`` is an optional checker to reuse unchanged assertion
+        lowerings from on a miss.
         """
-        from repro.sva.checker import CheckerBackend
+        from repro.sva.compile import CompiledAssertionChecker
 
-        key = f"sva:{backend}:{self.fingerprint(design)}"
+        key = f"sva:{self.fingerprint(design)}"
         entry = self.get(key)
         if entry is None:
-            entry = CheckerBackend(design, backend=backend, base=base)
+            entry = CompiledAssertionChecker(design, base=base)
             self.put(key, entry)
         return entry
 

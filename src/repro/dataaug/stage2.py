@@ -56,9 +56,6 @@ class Stage2Config:
     max_mined_assertions: int = 5
     max_bugs_per_design: int = 6
     injection: InjectionConfig = field(default_factory=InjectionConfig)
-    #: Assertion-checker backend for SVA validation and bug triage
-    #: ("auto" | "compiled" | "interp"); both produce identical outcomes.
-    checker_backend: str = "auto"
     #: Optional content-addressed result cache directory: per-sample results
     #: are persisted so re-runs only process samples whose inputs changed.
     cache_dir: Optional[str] = None
@@ -70,6 +67,12 @@ class Stage2Config:
     #: pipeline path produces each entry, so it is part of
     #: :meth:`content_fingerprint`.
     static_screen: str = "off"
+
+    def __post_init__(self) -> None:
+        if self.static_screen not in ("off", "cone"):
+            raise ValueError(
+                f"unknown static_screen '{self.static_screen}' (expected 'off' or 'cone')"
+            )
 
     def content_fingerprint(self, policy: RunPolicy) -> str:
         """Every config and policy field that can change a per-sample result.
@@ -92,7 +95,8 @@ class Stage2Config:
                 self.injection.max_bugs_per_design,
                 self.injection.max_candidates_per_line,
                 self.injection.require_compile,
-                self.checker_backend,
+                # Was the checker-backend name; kept so existing cache keys still hit.
+                "auto",
                 policy.job_timeout,
                 policy.max_attempts,
                 self.static_screen,
@@ -254,9 +258,7 @@ class Stage2Runner:
         except SimulationError:
             result.designs_without_valid_svas += 1
             return None, None
-        report = check_assertions(
-            augmented_compile.design, validation_trace, backend=self._config.checker_backend
-        )
+        report = check_assertions(augmented_compile.design, validation_trace)
         failing = set(report.failed_assertions)
         if failing:
             # Drop candidates whose assertion failed on the golden design and retry once.
@@ -292,12 +294,7 @@ class Stage2Runner:
         # likewise (mutations touch logic, not the assertions, so assertion
         # lowerings are reused wholesale).
         base_compiled = store.compiled_design(golden_design)
-        try:
-            base_checker = store.checker(
-                golden_design, backend=self._config.checker_backend
-            )
-        except Exception:
-            base_checker = None
+        base_checker = store.checker(golden_design)
         bugs = self._sample_injector(sample).inject(sample.name, augmented_golden, golden_design)
         result.injected_bugs += len(bugs)
         golden_dfg = (
@@ -344,11 +341,7 @@ class Stage2Runner:
             except SimulationError:
                 result.rejected_not_compiling += 1
                 continue
-            report = store.checker(
-                buggy_compile.design,
-                backend=self._config.checker_backend,
-                base=base_checker,
-            ).check(trace)
+            report = store.checker(buggy_compile.design, base=base_checker).check(trace)
             if report.passed:
                 result.verilog_bug.append(
                     VerilogBugEntry(

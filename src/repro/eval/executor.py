@@ -33,9 +33,6 @@ class VerificationJob:
     fixes: tuple[CandidateFix, ...]
     seeds: tuple[int, ...]
     cycles: int = 48
-    #: Assertion-checker backend each worker verifies with (outcome-identical
-    #: across backends; "interp" forces the differential oracle).
-    checker_backend: str = "auto"
     #: Static screening mode (see :class:`~repro.eval.verifier.VerifierConfig`):
     #: "off" | "full".
     static_screen: str = "off"
@@ -72,7 +69,6 @@ def _run_job(job: VerificationJob, context) -> ShardResult:
     verifier = SemanticVerifier(
         config=VerifierConfig(
             cycles=job.cycles,
-            checker_backend=job.checker_backend,
             artifact_mode=artifact_mode,
             static_screen=job.static_screen,
         ),

@@ -47,10 +47,6 @@ class EvalConfig:
     cycles: Optional[int] = None  # None: use each entry's own stimulus_cycles
     workers: int = 1
     cache_dir: Optional[Path] = None
-    #: Assertion-checker backend the verification workers use
-    #: ("auto" | "compiled" | "interp"); outcomes are backend-independent,
-    #: so this only changes wall time (or forces the differential oracle).
-    checker_backend: str = "auto"
     #: Failure policy for verification jobs: "raise" aborts the run on the
     #: first infrastructure failure (historical behaviour), "quarantine"
     #: records ``infra_error`` verdicts for the affected case and keeps going.
@@ -287,7 +283,6 @@ class EvalHarness:
                     fixes=fixes,
                     seeds=seeds,
                     cycles=cycles,
-                    checker_backend=config.checker_backend,
                     static_screen=config.static_screen,
                 )
             )

@@ -22,10 +22,9 @@ from repro.eval.cache import VerdictCache, verdict_key
 from repro.hdl.lint import compile_source
 from repro.obs import get_registry, phase
 from repro.hdl.source import SourceFile, lines_equivalent
-from repro.sim.compile import CompileError
 from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import CheckerBackend
+from repro.sva.compile import CompiledAssertionChecker
 
 #: Bumped whenever verdict semantics change: keys old cache entries out.
 #: v2: ``$past`` depth arguments are constant-folded with parameters and
@@ -127,13 +126,10 @@ class RepairVerdict:
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Stimulus sizing and backend selection for verification runs."""
+    """Stimulus sizing, artifact reuse and static screening for verification runs."""
 
     cycles: int = 48
     reset_cycles: int = 2
-    #: Assertion-checker backend: "auto" (compiled with tree-walking
-    #: fallback), "compiled" or "interp" (the differential oracle).
-    checker_backend: str = "auto"
     #: "incremental" routes compilation through the artifact cache and
     #: relowers each candidate against its case's buggy base; "off" compiles
     #: every candidate from scratch (the historical path, kept for the
@@ -253,12 +249,9 @@ class SemanticVerifier:
             return RepairVerdict(
                 status="not_applicable", seeds=seeds, cycles=cycles, detail=detail
             )
-        # A forced backend gets its own cache keyspace: re-running with the
-        # "interp" differential oracle must actually re-check, not be served
-        # a compiled run's cached verdicts (which would mask any divergence).
-        # Screened runs are partitioned the same way: a cone_skip or
+        # Screened runs get their own cache keyspace: a cone_skip or
         # static_reject entry must never answer an unscreened lookup.
-        version = self._unscreened_version()
+        version = VERIFIER_VERSION
         if self.config.static_screen != "off":
             version = f"{version}+screen:{self.config.static_screen}"
         key = verdict_key(patched, seeds, cycles, self.config.reset_cycles, version)
@@ -309,12 +302,7 @@ class SemanticVerifier:
         design, _ = self.artifacts.elaborate_source(buggy_source)
         if design is not None:
             base_compiled = self.artifacts.compiled_design(design)
-            try:
-                base_checker = self.artifacts.checker(
-                    design, backend=self.config.checker_backend
-                )
-            except CompileError:
-                base_checker = None
+            base_checker = self.artifacts.checker(design)
         result = (base_compiled, base_checker)
         self._bases[buggy_source] = result
         return result
@@ -322,12 +310,6 @@ class SemanticVerifier:
     # ------------------------------------------------------------------ #
     # static screening (VerifierConfig.static_screen != "off")
     # ------------------------------------------------------------------ #
-
-    def _unscreened_version(self) -> str:
-        """The verdict-key version an unscreened run of this config uses."""
-        if self.config.checker_backend != "auto":
-            return f"{VERIFIER_VERSION}+{self.config.checker_backend}"
-        return VERIFIER_VERSION
 
     def _design_of(self, source: str):
         """Elaborate ``source`` for screening, memoised per source text."""
@@ -360,9 +342,7 @@ class SemanticVerifier:
         verdict = self._base_verdicts.get(memo_key)
         if verdict is not None:
             return verdict
-        key = verdict_key(
-            buggy_source, seeds, cycles, self.config.reset_cycles, self._unscreened_version()
-        )
+        key = verdict_key(buggy_source, seeds, cycles, self.config.reset_cycles, VERIFIER_VERSION)
         if self.cache is not None:
             stored = self.cache.get(key)
             if stored is not None:
@@ -475,14 +455,7 @@ class SemanticVerifier:
                 # compiled backend rejects the design, and the Simulator
                 # factory falls back exactly as it always has.
                 compiled = self.artifacts.compiled_design(design, base=base_compiled)
-                try:
-                    checker = self.artifacts.checker(
-                        design, backend=self.config.checker_backend, base=base_checker
-                    )
-                except CompileError:
-                    checker = self.artifacts.checker(
-                        design, backend="auto", base=base_checker
-                    )
+                checker = self.artifacts.checker(design, base=base_checker)
             else:
                 result = compile_source(patched_source)
                 if not result.ok or result.design is None:
@@ -495,15 +468,7 @@ class SemanticVerifier:
                     )
                 design = result.design
                 # Lowered once per patched design, shared by every stimulus seed.
-                try:
-                    checker = CheckerBackend(design, backend=self.config.checker_backend)
-                except CompileError:
-                    # Only the strict "compiled" backend can raise (an
-                    # assertion the lowering rejects).  Verification must
-                    # yield a verdict, not an exception that aborts a whole
-                    # eval run, and "auto" is outcome-identical, so degrade
-                    # to the per-assertion fallback.
-                    checker = CheckerBackend(design, backend="auto")
+                checker = CompiledAssertionChecker(design)
         def simulate(seed: int):
             with phase("verify.simulate"):
                 stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(

@@ -157,7 +157,7 @@ class Lexer:
                 self._lex_string()
             elif ch == "$":
                 self._lex_system_ident()
-            elif ch.isdigit() or (ch == "'" and self._peek(1) in "bBdDhHoO"):
+            elif "0" <= ch <= "9" or (ch == "'" and self._peek(1) in "bBdDhHoO"):
                 self._lex_number()
             elif ch.isalpha() or ch == "_" or ch == "\\":
                 self._lex_identifier()
@@ -253,7 +253,7 @@ class Lexer:
         start_line, start_col = self._line, self._column
         start = self._pos
         # Optional decimal size prefix.
-        while self._pos < len(self._text) and (self._text[self._pos].isdigit() or self._text[self._pos] == "_"):
+        while self._pos < len(self._text) and ("0" <= self._text[self._pos] <= "9" or self._text[self._pos] == "_"):
             self._advance(1)
         if self._pos < len(self._text) and self._text[self._pos] == "'":
             self._advance(1)
@@ -264,7 +264,8 @@ class Lexer:
             self._advance(1)
             digits_start = self._pos
             while self._pos < len(self._text) and (
-                self._text[self._pos].isalnum() or self._text[self._pos] in "_?xXzZ"
+                self._text[self._pos].isascii() and self._text[self._pos].isalnum()
+                or self._text[self._pos] in "_?xXzZ"
             ):
                 self._advance(1)
             if self._pos == digits_start:

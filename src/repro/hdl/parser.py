@@ -814,7 +814,7 @@ def parse_number(token: Token) -> ast.Number:
     rest = rest.lstrip("sS")
     base_char = rest[0].lower()
     digits = rest[1:].replace("_", "")
-    width = int(size_part) if size_part else None
+    width = int(size_part.replace("_", "")) if size_part else None
     base_map = {"b": 2, "d": 10, "h": 16, "o": 8}
     radix = base_map[base_char]
     value = 0

@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Optional
 
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign, ProceduralBlock
-from repro.sim.engine import SimulationError, SimulatorOptions, detect_clock
+from repro.sim.engine import _MAX_SETTLE_ITERATIONS, SimulationError, SimulatorOptions, detect_clock
 from repro.sim.trace import DiffTrace, TraceSample
 from repro.sim.values import LogicValue
 
@@ -1078,7 +1078,7 @@ class CompiledSimulator:
         self._xm: list[int] = [0] * n
         self._dirty: list[bool] = [False] * len(self._nodes)
         self._heap: list[int] = []
-        self._budget = self._options.max_settle_iterations * max(1, len(self._nodes))
+        self._budget = _MAX_SETTLE_ITERATIONS * max(1, len(self._nodes))
         self._rec_changed: set[int] = set()
         self._input_lookup: dict[str, tuple[int, int]] = {}
         self._prev_async_v: list[int] = [0] * len(self._async_slots)

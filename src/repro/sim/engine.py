@@ -40,8 +40,6 @@ class SimulatorOptions:
 
     clock: Optional[str] = None  # name of the clock signal; autodetected if None
     x_initial_state: bool = False  # initialise registers to x instead of 0
-    max_settle_iterations: int = _MAX_SETTLE_ITERATIONS
-    backend: str = "auto"  # "auto" | "compiled" | "interp"
     #: Compiled backend only: stream per-signal column change events (flat
     #: ints) into the DiffTrace while simulating, so ``trace.columns()`` --
     #: what the vectorised SVA checker consumes -- never has to unpack
@@ -183,7 +181,7 @@ class InterpSimulator:
 
     def _settle(self) -> None:
         """Iterate combinational logic to a fixed point."""
-        for _ in range(self._options.max_settle_iterations):
+        for _ in range(_MAX_SETTLE_ITERATIONS):
             changed = False
             evaluator = Evaluator(self._env, self._design.parameters)
             for assign in self._design.continuous_assigns:
@@ -302,38 +300,28 @@ def Simulator(
     options: Optional[SimulatorOptions] = None,
     compiled=None,
 ):
-    """Build a simulator for ``design``, choosing the fastest usable backend.
+    """Build a simulator for ``design``: compiled, or the interpreter fallback.
 
-    With ``options.backend == "auto"`` (the default) the design is lowered by
-    the compiled backend (:mod:`repro.sim.compile`); constructs the compiler
-    does not support fall back to the tree-walking :class:`InterpSimulator`.
-    ``"compiled"`` and ``"interp"`` force one backend (``"compiled"`` raises
-    :class:`SimulationError` when the design cannot be compiled).
+    The design is lowered by the compiled backend (:mod:`repro.sim.compile`);
+    a design using a construct the compiler rejects (:class:`CompileError`)
+    runs on the tree-walking :class:`InterpSimulator` instead.  Tests and
+    benchmarks that need one backend construct its class directly.
 
     ``compiled`` is an optional pre-lowered
     :class:`~repro.sim.compile.CompiledDesign` for this design (e.g. from the
     compiled-artifact cache): the compiled backend instantiates from it
-    instead of lowering again.  The ``"interp"`` backend ignores it.
+    instead of lowering again.
 
     Both backends expose the same API (``step``/``run``/``trace``/``value``/
     ``peek``) and produce `equals()`-identical traces.
     """
     options = options or SimulatorOptions()
-    backend = options.backend
-    if backend not in ("auto", "compiled", "interp"):
-        raise ValueError(
-            f"unknown simulator backend '{backend}' (expected 'auto', 'compiled' or 'interp')"
-        )
-    if backend == "interp":
-        return InterpSimulator(design, options=options)
     # Imported lazily: repro.sim.compile imports from this module.
     from repro.sim.compile import CompiledSimulator, CompileError
 
     try:
         return CompiledSimulator(design, options=options, compiled=compiled)
-    except CompileError as exc:
-        if backend == "compiled":
-            raise SimulationError(f"design cannot be compiled: {exc}") from exc
+    except CompileError:
         return InterpSimulator(design, options=options)
 
 

@@ -6,8 +6,8 @@ everything that happens *after* parsing:
 * :mod:`repro.sva.checker` -- evaluate concurrent assertions over simulation
   traces (preponed sampling, ``disable iff``, ``##N`` delays, ``|->``/``|=>``,
   sampled-value functions).  The tree-walking :class:`AssertionChecker` is
-  the reference backend / differential oracle; the :func:`CheckerBackend`
-  factory dispatches to the compiled backend by default.
+  the reference backend / differential oracle, reached by class;
+  :func:`check_assertions` checks with the compiled backend.
 * :mod:`repro.sva.compile` -- the compiled checking backend: assertions
   lowered once per design and resolved by the attempt tensor, with a
   per-assertion fallback to the tree-walker for constructs the lowering
@@ -27,7 +27,6 @@ from repro.sva.checker import (
     AssertionChecker,
     AssertionFailure,
     AssertionOutcome,
-    CheckerBackend,
     CheckReport,
     check_assertions,
     infer_expression_width,
@@ -40,7 +39,6 @@ __all__ = [
     "AssertionChecker",
     "AssertionFailure",
     "AssertionOutcome",
-    "CheckerBackend",
     "CheckReport",
     "check_assertions",
     "infer_expression_width",

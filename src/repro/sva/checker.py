@@ -26,9 +26,9 @@ Two checker backends implement these semantics:
   assertion once per design into whole-array numpy expressions over the
   trace's columns and resolves all attempts as one tensor pass.
 
-Use the :func:`CheckerBackend` factory (or :func:`check_assertions`, which
-routes through the process-wide compiled-artifact cache) unless you need a
-specific backend.
+Production builds the compiled checker (directly, or through
+:func:`check_assertions`, which routes through the process-wide
+compiled-artifact cache); tests and benchmarks reach the oracle by class.
 """
 
 from __future__ import annotations
@@ -421,51 +421,18 @@ class AssertionChecker:
             return LogicValue.from_int(int(current.to_int() != previous.to_int()), 1)
         return LogicValue.unknown(1)
 
-def CheckerBackend(design: ElaboratedDesign, backend: str = "auto", base=None):
-    """Build an assertion checker for ``design``, mirroring :func:`Simulator`.
 
-    ``"auto"`` (the default) lowers every assertion with the compiled backend
-    (:mod:`repro.sva.compile`); assertions using constructs the lowering does
-    not support transparently fall back to the tree-walking evaluation, so
-    the auto backend never fails to construct.  ``"compiled"`` additionally
-    raises :class:`repro.sim.compile.CompileError` when any assertion could
-    not be lowered; ``"interp"`` forces the tree-walking oracle.
-
-    ``base`` is an optional previously built checker for a signal-compatible
-    design (typically the unpatched base of a candidate repair): assertions
-    whose content key is unchanged reuse its lowering verbatim.  It is
-    ignored by the ``"interp"`` backend and by non-compiled base instances.
-
-    Both backends expose the same ``check(trace, assertions=None)`` API and
-    produce outcome-identical :class:`CheckReport` objects.
-    """
-    if backend not in ("auto", "compiled", "interp"):
-        raise ValueError(
-            f"unknown checker backend '{backend}' (expected 'auto', 'compiled' or 'interp')"
-        )
-    if backend == "interp":
-        return AssertionChecker(design)
-    # Imported lazily: repro.sva.compile imports from this module.
-    from repro.sva.compile import CompiledAssertionChecker
-
-    if not isinstance(base, CompiledAssertionChecker):
-        base = None
-    return CompiledAssertionChecker(design, strict=backend == "compiled", base=base)
-
-
-def check_assertions(
-    design: ElaboratedDesign, trace: Trace, backend: str = "auto"
-) -> CheckReport:
+def check_assertions(design: ElaboratedDesign, trace: Trace) -> CheckReport:
     """Check all assertions of ``design`` over ``trace``.
 
     The lowered checker comes from the process-wide artifact cache
     (:func:`repro.artifacts.default_store`), keyed by the design's content
-    fingerprint and the backend name: callers that check the same design --
-    or *any* equal-fingerprint elaboration of it -- on several traces pay
-    the one-off assertion lowering once, and the cache's LRU bound means
-    lowered checkers no longer live exactly as long as the design object
-    that happened to first reach this helper.
+    fingerprint: callers that check the same design -- or *any*
+    equal-fingerprint elaboration of it -- on several traces pay the one-off
+    assertion lowering once, and the cache's LRU bound means lowered
+    checkers no longer live exactly as long as the design object that
+    happened to first reach this helper.
     """
     from repro.artifacts import default_store
 
-    return default_store().checker(design, backend=backend).check(trace)
+    return default_store().checker(design).check(trace)

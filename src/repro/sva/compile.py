@@ -36,8 +36,9 @@ signal is checked by the oracle for the whole call.  The tensor and the
 oracle are outcome-identical, pinned by the differential suites
 (`tests/test_sva_compile`, `tests/test_trace_columns`): attempts,
 antecedent matches, passes, vacuous/pending/disabled counts and every
-failure's start and failing cycle agree.  Use the
-:func:`~repro.sva.checker.CheckerBackend` factory to construct one.
+failure's start and failing cycle agree.  Production constructs this class
+directly (or through :meth:`repro.artifacts.ArtifactStore.checker`); the
+demotions it made are listed by :meth:`CompiledAssertionChecker.engine_report`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec, ElaboratedDesign
 from repro.obs.metrics import get_registry, labeled
-from repro.sim.compile import CompileError
 from repro.sim.trace import Trace
 from repro.sva import vector as sva_vector
 from repro.sva.checker import AssertionChecker, AssertionOutcome, CheckReport
@@ -138,8 +138,7 @@ class CompiledAssertionChecker:
     how many attempts overlap each cycle.
     """
 
-    def __init__(self, design: ElaboratedDesign, strict: bool = False,
-                 base: Optional["CompiledAssertionChecker"] = None):
+    def __init__(self, design: ElaboratedDesign, base: Optional["CompiledAssertionChecker"] = None):
         from repro.artifacts.canon import assertion_key
 
         self._design = design
@@ -169,7 +168,6 @@ class CompiledAssertionChecker:
         #: for the tensor)}.  Every demotion carries its reason, so a
         #: lowering regression is visible, not just a slowdown.
         self.engine_choices: dict[str, dict] = {}
-        failed: list[str] = []
         for spec in design.assertions:
             key = assertion_key(spec)
             cached = base_index.get(key)
@@ -182,12 +180,6 @@ class CompiledAssertionChecker:
                 lowered = self._lower(spec)
             self._spec_index[key] = (lowered, self.engine_choices[spec.name])
             self._lowered[id(spec)] = lowered
-            if lowered is None:
-                failed.append(spec.name)
-        if strict and failed:
-            raise CompileError(
-                "assertions cannot be lowered: " + ", ".join(sorted(failed))
-            )
 
     def _reuse_compatible(self, base: "CompiledAssertionChecker") -> bool:
         """Whether ``base``'s lowered assertions can be reused here.

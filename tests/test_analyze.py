@@ -307,6 +307,20 @@ def test_lint_tier_matches_compile_source_diagnostics():
     assert multi and all(d.line > 0 for d in multi)
 
 
+@pytest.mark.parametrize("literal", ["²", "3²", "a[٣]", "1_'b1", "4__'b1"])
+def test_compile_source_never_raises_on_odd_literals(literal):
+    """Non-ASCII digits are unexpected characters, never int() input; a
+    size prefix drops its underscores like an unsized literal does."""
+    result = compile_source(
+        "module odd (input wire [3:0] a, output wire [3:0] y);\n"
+        f"    assign y = {literal};\n"
+        "endmodule\n"
+    )
+    assert all(d.line == 2 and d.column > 0 for d in result.errors), result.render()
+    if literal.isascii():
+        assert result.ok, result.render()
+
+
 def test_analysis_context_lazy_dfg(tmp_path):
     design = design_of(COUNTER)
     context = AnalysisContext(design)

@@ -30,7 +30,7 @@ from repro.hdl.lint import compile_source
 from repro.sim.compile import CompiledSimulator, compile_design
 from repro.sim.engine import SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
-from repro.sva.checker import CheckerBackend
+from repro.sva.compile import CompiledAssertionChecker
 from repro.sva.generator import insert_assertions, template_assertion_blocks
 
 CYCLES = 24
@@ -120,7 +120,7 @@ def test_incremental_relowering_is_byte_identical(family):
         pytest.skip(f"{family.name}: no compilable case")
     source, design = case
     base_compiled = compile_design(design)
-    base_checker = CheckerBackend(design)
+    base_checker = CompiledAssertionChecker(design)
     mutants = representative_mutants(source, design)
     if not mutants:
         pytest.skip(f"{family.name}: no compiling mutants")
@@ -140,8 +140,8 @@ def test_incremental_relowering_is_byte_identical(family):
             kind,
         )
         if mutant.assertions:
-            full_check = CheckerBackend(mutant)
-            incremental_check = CheckerBackend(mutant, base=base_checker)
+            full_check = CompiledAssertionChecker(mutant)
+            incremental_check = CompiledAssertionChecker(mutant, base=base_checker)
             assert report_keys(incremental_check.check(incremental_trace)) == report_keys(
                 full_check.check(full_trace)
             ), (family.name, kind)

@@ -11,7 +11,7 @@ import pytest
 from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
-from repro.sim.compile import CompiledSimulator
+from repro.sim.compile import CompiledSimulator, CompileError
 from repro.sim.engine import InterpSimulator, Simulator, SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
 
@@ -116,10 +116,10 @@ def test_stimulus_write_to_comb_driven_signal_matches_interpreter():
     )
     result = compile_source(source)
     assert result.ok and result.design is not None
-    for backend in ("interp", "compiled"):
-        sim = Simulator(result.design, options=SimulatorOptions(backend=backend))
+    for backend in (InterpSimulator, CompiledSimulator):
+        sim = backend(result.design)
         sim.step({"a": 1, "b": 1, "y": 0})
-        assert sim.peek("y") == 1, f"{backend}: the continuous driver must win"
+        assert sim.peek("y") == 1, f"{backend.__name__}: the continuous driver must win"
     assert_traces_identical(result.design, [{"a": 1, "b": 1, "y": 0}, {"a": 0, "b": 1, "y": 1}])
 
 
@@ -135,6 +135,22 @@ def test_difftrace_supports_slice_indexing():
 def test_factory_prefers_compiled_backend():
     design = design_for(FAMILIES[0])
     assert isinstance(Simulator(design), CompiledSimulator)
-    assert isinstance(
-        Simulator(design, options=SimulatorOptions(backend="interp")), InterpSimulator
+
+
+def test_factory_falls_back_to_interpreter_on_compile_error():
+    # Lint-clean, but the compiled backend only clocks on 1-bit signals: the
+    # factory's one selection rule is CompileError -> InterpSimulator.
+    source = (
+        "module m(input [1:0] clk, input a, output reg y);\n"
+        "    always @(posedge clk) y <= a;\n"
+        "endmodule\n"
     )
+    result = compile_source(source)
+    assert result.ok and result.design is not None, result.render()
+    with pytest.raises(CompileError, match="not a 1-bit signal"):
+        CompiledSimulator(result.design)
+    sim = Simulator(result.design)
+    assert isinstance(sim, InterpSimulator)
+    trace = sim.run([{"a": 1}, {"a": 0}, {"a": 1}])
+    assert len(trace) == 3
+    assert sim.peek("y") == 1

@@ -263,11 +263,17 @@ def test_static_reject_verdict_carries_detail_and_keyspace():
 
 
 def test_unknown_screen_modes_are_rejected():
-    # Only "off" and "full" exist; anything else must not silently screen
-    # under a verdict-cache keyspace of its own.
+    # The verifier knows "off" and "full", Stage 2 "off" and "cone";
+    # anything else must not silently run under a verdict-cache keyspace or
+    # Stage-2 cache fingerprint of its own.
+    from repro.dataaug.stage2 import Stage2Config
+
     for mode in ("cone", "lint"):
         with pytest.raises(ValueError, match="static_screen"):
             VerifierConfig(static_screen=mode)
+    for mode in ("full", "lint", "", "Cone"):
+        with pytest.raises(ValueError, match="static_screen"):
+            Stage2Config(static_screen=mode)
 
 
 # --------------------------------------------------------------------------- #

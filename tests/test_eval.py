@@ -12,6 +12,7 @@ from repro.eval.reports import read_split, write_reports
 from repro.eval.verifier import (
     CandidateFix,
     SemanticVerifier,
+    VerifierConfig,
     derive_verification_seeds,
 )
 from repro.model.assertsolver_model import AssertSolverModel
@@ -152,6 +153,47 @@ def test_cache_keys_on_the_patched_source_not_the_fix():
     assert relocated_broken.applied_line_number == 9
 
 
+
+PINNED_SOURCE = """module pin (input wire clk, input wire rst_n, input wire a, output reg q);
+    always @(posedge clk or negedge rst_n)
+        if (!rst_n) q <= 1'b0;
+        else q <= ~a;
+    a_follow: assert property (@(posedge clk) disable iff (!rst_n) 1'b1 |=> q == $past(a));
+endmodule
+"""
+
+
+@pytest.mark.parametrize(
+    "screen, version, key",
+    [
+        (
+            "off",
+            "repro_eval_verifier/v2",
+            "1b270039cf55195dafb25012041582d16a173efe5328b4fa41eeeb2afe28795c",
+        ),
+        (
+            "full",
+            "repro_eval_verifier/v2+screen:full",
+            "c94be24fef411beb2f3323071ec357779648db0a6f1e73f90234951e04a402e3",
+        ),
+    ],
+)
+def test_verdict_keys_are_pinned(tmp_path, screen, version, key):
+    """A verdict cache written by an earlier version is only reusable if the
+    verifier keys every candidate byte-identically.  The literal keys were
+    computed before engine selection stopped being a verifier option."""
+    fixed_line = "        else q <= a;"
+    verifier = SemanticVerifier(
+        VerifierConfig(cycles=16, static_screen=screen), cache=VerdictCache(tmp_path)
+    )
+    verdict = verifier.verify(PINNED_SOURCE, CandidateFix(4, fixed_line), (3, 4))
+    assert verdict.status == "pass"
+    files = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.json"))
+    assert files == [f"{key[:2]}/{key[2:4]}/{key}.json"]
+    patched = PINNED_SOURCE.replace("        else q <= ~a;", fixed_line)
+    assert verdict_key(patched, (3, 4), 16, 2, version) == key
+
+
 # ---------------------------------------------------------------------- #
 # harness determinism
 # ---------------------------------------------------------------------- #
@@ -176,33 +218,29 @@ def test_harness_is_cache_state_invariant(datasets, sft_model, tmp_path):
     assert warm.cache_misses == 0 and warm.cache_hits == cold.cache_misses
 
 
-def test_harness_is_checker_backend_invariant(datasets, sft_model):
-    """The checker backend reaches the verification workers and cannot
-    change any outcome -- forcing the tree-walking oracle through the full
-    harness path must reproduce the compiled run byte for byte."""
+def test_harness_is_checker_backend_invariant(datasets, sft_model, monkeypatch):
+    """The checker backend cannot change any outcome -- swapping the
+    tree-walking oracle in for every checker the full harness path builds
+    must reproduce the compiled run byte for byte.  The oracle leg runs
+    in-process (``workers=1``) so the patched store method is the one the
+    verifier calls; worker-count invariance has its own test."""
+    from repro.artifacts import ArtifactStore
+    from repro.sva.checker import AssertionChecker
+
     compiled = EvalHarness(eval_config()).run(sft_model, datasets.sva_eval_machine)
-    oracle = EvalHarness(eval_config(checker_backend="interp", workers=2)).run(
-        sft_model, datasets.sva_eval_machine
-    )
+    oracle_designs = []
+
+    def oracle_checker(self, design, base=None):
+        oracle_designs.append(design)
+        return AssertionChecker(design)
+
+    monkeypatch.setattr(ArtifactStore, "checker", oracle_checker)
+    oracle = EvalHarness(eval_config(workers=1)).run(sft_model, datasets.sva_eval_machine)
+    assert oracle_designs, "the oracle leg never reached the patched checker"
     assert compiled.summary() == oracle.summary()
     assert [case.to_dict() for case in compiled.cases] == [
         case.to_dict() for case in oracle.cases
     ]
-
-
-def test_forced_oracle_backend_does_not_reuse_compiled_cache(datasets, sft_model, tmp_path):
-    """A differential re-run with the tree-walking oracle must re-verify:
-    serving it the compiled run's cached verdicts would mask divergences."""
-    cache_dir = tmp_path / "verdicts"
-    compiled = EvalHarness(eval_config(cache_dir=cache_dir)).run(
-        sft_model, datasets.sva_eval_machine
-    )
-    oracle = EvalHarness(eval_config(cache_dir=cache_dir, checker_backend="interp")).run(
-        sft_model, datasets.sva_eval_machine
-    )
-    assert compiled.cache_misses > 0
-    assert oracle.cache_misses == compiled.cache_misses  # nothing served cross-backend
-    assert compiled.summary() == oracle.summary()
 
 
 def test_harness_is_entry_order_invariant(datasets, sft_model):

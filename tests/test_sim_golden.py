@@ -13,7 +13,8 @@ from repro.corpus.templates.datapath import build_alu
 from repro.corpus.templates.fsm import build_sequence_detector
 from repro.corpus.templates.shift import build_shift_register
 from repro.hdl.lint import compile_source
-from repro.sim.engine import Simulator
+from repro.sim.compile import CompiledSimulator
+from repro.sim.engine import InterpSimulator, Simulator
 
 
 def simulator_for(source: str) -> "Simulator":
@@ -99,16 +100,14 @@ def test_pipelined_adder_latency_and_offset():
     assert sim.peek("out_valid") == 0
 
 
-@pytest.mark.parametrize("backend", ["compiled", "interp"])
+@pytest.mark.parametrize(
+    "backend", [CompiledSimulator, InterpSimulator], ids=["compiled", "interp"]
+)
 def test_trace_samples_preponed_values(backend):
     """The trace's pre-edge sample lags the post-edge state by one update."""
-    from repro.sim.engine import SimulatorOptions
-
     result = compile_source(build_up_counter("dut", width=4, has_enable=0).source)
     assert result.ok
-    from repro.sim.engine import Simulator as factory
-
-    sim = factory(result.design, options=SimulatorOptions(backend=backend))
+    sim = backend(result.design)
     sim.step({"rst_n": 0})
     for _ in range(3):
         sim.step({"rst_n": 1})

@@ -19,12 +19,10 @@ from repro.corpus.templates import all_families
 from repro.hdl import ast
 from repro.hdl.elaborate import AssertionSpec
 from repro.hdl.lint import compile_source
-from repro.sim.compile import CompileError
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.checker import (
     AssertionChecker,
-    CheckerBackend,
     check_assertions,
     infer_expression_width,
     sampled_past_depth,
@@ -40,9 +38,11 @@ def outcome_fields(outcome):
 
 
 def assert_reports_identical(design, trace):
-    """The attempt tensor (strict: every assertion lowered) vs the oracle."""
+    """The attempt tensor (every assertion lowered, none demoted) vs the oracle."""
     interp = AssertionChecker(design).check(trace)
-    compiled = CheckerBackend(design, backend="compiled").check(trace)
+    checker = CompiledAssertionChecker(design)
+    assert checker.engine_report()["engines"]["tree_walker"] == 0, checker.engine_report()
+    compiled = checker.check(trace)
     assert sorted(interp.outcomes) == sorted(compiled.outcomes)
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(
@@ -79,19 +79,21 @@ def test_family_outcomes_identical(family):
     assert_reports_identical(design, Simulator(design).run(vectors))
 
 
-@pytest.mark.parametrize("backend", ["compiled", "interp"])
-def test_check_batch_matches_per_trace_check(backend):
+@pytest.mark.parametrize(
+    "checker_class", [CompiledAssertionChecker, AssertionChecker], ids=["compiled", "interp"]
+)
+def test_check_batch_matches_per_trace_check(checker_class):
     """One batched pass over several seed traces (the verifier's shape) must
     be outcome-identical to checking each trace individually, in order.
 
-    The ``compiled`` leg exercises the stacked (seed x cycle) tensor pass;
+    The compiled leg exercises the stacked (seed x cycle) tensor pass;
     ragged trace lengths make the padding/masking load-bearing."""
     checked = 0
     for family in FAMILIES[:8]:
-        _, design = augmented_design(family, prefix=f"batch_{backend}")
+        _, design = augmented_design(family, prefix=f"batch_{checker_class.__name__}")
         if design is None or not design.assertions:
             continue
-        checker = CheckerBackend(design, backend=backend)
+        checker = checker_class(design)
         traces = [
             Simulator(design).run(
                 StimulusGenerator(design, seed=40 + index)
@@ -143,7 +145,7 @@ def test_mutant_outcomes_identical(seed):
 
 
 # --------------------------------------------------------------------------- #
-# backend dispatch
+# artifact caching and per-assertion demotion
 # --------------------------------------------------------------------------- #
 
 
@@ -194,15 +196,6 @@ def shift2_trace(design, cycles=24):
     return Simulator(design).run(vectors)
 
 
-def test_checker_backend_factory_dispatch():
-    design = shift2_design()
-    assert isinstance(CheckerBackend(design, backend="interp"), AssertionChecker)
-    assert isinstance(CheckerBackend(design, backend="auto"), CompiledAssertionChecker)
-    assert isinstance(CheckerBackend(design, backend="compiled"), CompiledAssertionChecker)
-    with pytest.raises(ValueError):
-        CheckerBackend(design, backend="fpga")
-
-
 def test_check_assertions_caches_checker_in_artifact_store():
     # The lowered checker lives in the process-wide artifact cache keyed by
     # content fingerprint -- not as a hidden attribute pinned on the design
@@ -225,11 +218,11 @@ def test_check_assertions_caches_checker_in_artifact_store():
         assert outcome_fields(first.outcomes[name]) == outcome_fields(second.outcomes[name])
 
 
-def test_strict_compiled_backend_rejects_unloweable_assertions():
+def test_unloweable_assertion_is_demoted_with_reason():
     # Every lint-accepted construct lowers, so fabricate a spec referencing
     # an undeclared signal (the tree-walker's EvalError -> unknown path):
-    # strict mode must surface the lowering failure instead of silently
-    # tree-walking, and auto must fall back per assertion and still agree.
+    # the compiled checker must demote it to the tree-walker with the
+    # refusal recorded, never silently, and still agree with the oracle.
     design = shift2_design()
     ghost = AssertionSpec(
         name="a_ghost",
@@ -243,18 +236,16 @@ def test_strict_compiled_backend_rejects_unloweable_assertions():
         ),
     )
     design.assertions.append(ghost)
-    with pytest.raises(CompileError):
-        CheckerBackend(design, backend="compiled")
+    checker = CompiledAssertionChecker(design)
+    engines = checker.engine_report()
+    assert engines["assertions"]["a_ghost"]["engine"] == "tree_walker"
+    assert engines["assertions"]["a_ghost"]["reason"]
+    assert engines["engines"]["tree_walker"] == 1
     trace = shift2_trace(design)
-    assert_reports_identical_auto(design, trace)
-    # The unknown reference never evaluates to a hard failure on either side.
-    report = CheckerBackend(design, backend="auto").check(trace)
-    assert not report.outcomes["a_ghost"].failures
-
-
-def assert_reports_identical_auto(design, trace):
     interp = AssertionChecker(design).check(trace)
-    compiled = CheckerBackend(design, backend="auto").check(trace)
+    compiled = checker.check(trace)
+    # The unknown reference never evaluates to a hard failure on either side.
+    assert not compiled.outcomes["a_ghost"].failures
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(
             compiled.outcomes[name]
@@ -266,7 +257,7 @@ def test_subset_checking_matches_tree_walker():
     trace = shift2_trace(design)
     subset = design.assertions[:1]
     interp = AssertionChecker(design).check(trace, assertions=subset)
-    compiled = CheckerBackend(design).check(trace, assertions=subset)
+    compiled = CompiledAssertionChecker(design).check(trace, assertions=subset)
     assert sorted(interp.outcomes) == sorted(compiled.outcomes) == [subset[0].name]
     for name in interp.outcomes:
         assert outcome_fields(interp.outcomes[name]) == outcome_fields(compiled.outcomes[name])
@@ -277,8 +268,10 @@ def test_subset_checking_matches_tree_walker():
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["interp", "auto"])
-def test_past_parameter_depth_is_honoured(backend):
+@pytest.mark.parametrize(
+    "checker_class", [AssertionChecker, CompiledAssertionChecker], ids=["interp", "auto"]
+)
+def test_past_parameter_depth_is_honoured(checker_class):
     """``$past(a, DEPTH)`` with ``parameter DEPTH = 2`` must look 2 back.
 
     Before the fix both backends silently used depth 1 for any non-literal
@@ -287,7 +280,7 @@ def test_past_parameter_depth_is_honoured(backend):
     the true 2-deep relation holds, the 1-deep one fails.
     """
     design = shift2_design()
-    report = CheckerBackend(design, backend=backend).check(shift2_trace(design))
+    report = checker_class(design).check(shift2_trace(design))
     depth2 = report.outcomes["a_depth"]
     depth1 = report.outcomes["a_one"]
     assert depth2.antecedent_matches > 4
@@ -310,8 +303,10 @@ def test_past_depth_constant_folding():
     assert sampled_past_depth(signal_depth, design.parameters) == 1
 
 
-@pytest.mark.parametrize("backend", ["interp", "auto"])
-def test_past_pre_trace_unknown_has_expression_width(backend):
+@pytest.mark.parametrize(
+    "checker_class", [AssertionChecker, CompiledAssertionChecker], ids=["interp", "auto"]
+)
+def test_past_pre_trace_unknown_has_expression_width(checker_class):
     """Pre-cycle-0 ``$past(a ^ b)`` must be a 4-bit x, not a 1-bit x.
 
     ``a_width`` asserts ``!($past(a ^ b) === 1'bx)``: with the old 1-bit
@@ -319,7 +314,7 @@ def test_past_pre_trace_unknown_has_expression_width(backend):
     4-bit unknown is not case-equal to ``1'bx``, so every cycle passes.
     """
     design = shift2_design()
-    report = CheckerBackend(design, backend=backend).check(shift2_trace(design))
+    report = checker_class(design).check(shift2_trace(design))
     width = report.outcomes["a_width"]
     assert not width.failures, [f.render() for f in width.failures]
     assert width.passes == width.attempts
