@@ -77,6 +77,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from dataclasses import replace  # noqa: E402
 
 from repro.artifacts import ArtifactStore  # noqa: E402
+from repro.artifacts import store as artifact_store  # noqa: E402
 from repro.bugs.mutators import enumerate_mutations  # noqa: E402
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig  # noqa: E402
 from repro.eval.executor import VerificationJob, run_verification_jobs  # noqa: E402
@@ -94,9 +95,11 @@ from repro.sva.compile import CompiledAssertionChecker  # noqa: E402
 RELOWER_ENTRIES = 10
 RELOWER_REPS = 3
 
-#: Screening-leg workload sizing: eval cases and mutant candidates per case.
+#: Screening-leg workload sizing: eval cases and mutant candidates per case,
+#: and timed runs per leg (best-of, alternating which leg goes first).
 SCREEN_CASES = 12
 SCREEN_MUTANTS_PER_CASE = 8
+SCREEN_ROUNDS = 3
 
 
 def relower_microbench(entries) -> dict:
@@ -200,20 +203,30 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
     * provenance ``static_reject``: the unscreened ground truth must not be
       a confirmed repair (``pass`` with an exercised assertion).
 
-    The screened leg runs *first*, so the shared in-process artifact store
-    is cold for it and warm for the unscreened leg -- any bias makes the
-    reported speedup conservative.  Neither leg uses a verdict cache.
+    Each leg is timed best-of-``SCREEN_ROUNDS``, the legs alternating
+    which runs first, and every run starts from an empty in-process
+    artifact store, so neither leg inherits the other's elaborations.
+    Neither leg uses a verdict cache.
     """
     jobs = screening_workload(entries, seed)
     screened_jobs = [replace(job, static_screen="full") for job in jobs]
 
-    with scoped_registry() as registry:
-        started = time.perf_counter()
-        screened_shards = run_verification_jobs(screened_jobs, workers=workers)
-        screened_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    off_shards = run_verification_jobs(jobs, workers=workers)
-    off_wall = time.perf_counter() - started
+    legs = {"screened": screened_jobs, "off": jobs}
+    walls: dict[str, list[float]] = {leg: [] for leg in legs}
+    shards, counters = {}, {}
+    for round_index in range(SCREEN_ROUNDS):
+        order = list(legs) if round_index % 2 == 0 else list(reversed(legs))
+        for leg in order:
+            # Pool workers start with empty stores of their own; dropping
+            # the memory-only process store does the same for workers=1.
+            artifact_store._PROCESS_STORES.pop(None, None)
+            with scoped_registry() as registry:
+                started = time.perf_counter()
+                shards[leg] = run_verification_jobs(legs[leg], workers=workers)
+                walls[leg].append(time.perf_counter() - started)
+            counters[leg] = registry.counters
+    screened_shards, off_shards = shards["screened"], shards["off"]
+    screened_wall, off_wall = min(walls["screened"]), min(walls["off"])
 
     divergences: list[str] = []
     candidates = 0
@@ -249,7 +262,7 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
         "screened": {
             "wall_time_s": round(screened_wall, 3),
             "cone_skips": cone_skips,
-            "cone_overlaps": registry.counters.get("analyze.cone.overlap", 0),
+            "cone_overlaps": counters["screened"].get("analyze.cone.overlap", 0),
             "static_rejects": rejects,
         },
         "unscreened": {"wall_time_s": round(off_wall, 3)},

@@ -166,10 +166,12 @@ class BugInjector:
         elaborated_targets: Optional[list[str]] = None,
     ) -> Optional[BugInstance]:
         buggy_source = source_file.with_line_replaced(line_number, mutation.buggy_line).text
+        buggy_design = None
         if self._config.require_compile:
             result = compile_source(buggy_source)
             if not result.ok:
                 return None
+            buggy_design = result.design
         assigned = list(elaborated_targets) if elaborated_targets else self._assigned_signals(golden_line)
         return BugInstance(
             design_name=design_name,
@@ -183,6 +185,7 @@ class BugInjector:
             is_conditional=self._is_conditional(golden_line, mutation),
             assigned_signals=assigned,
             description=mutation.description,
+            design=buggy_design,
         )
 
     @staticmethod

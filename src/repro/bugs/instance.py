@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.hdl.elaborate import ElaboratedDesign
 from repro.hdl.source import lines_equivalent
 
 
@@ -29,6 +30,9 @@ class BugInstance:
         is_direct: True when an assigned signal appears directly in a failing
             assertion (filled in by the validation stage).
         description: human-readable summary of the mutation.
+        design: the elaborated buggy source, kept from the injector's compile
+            check so the validation stage does not compile it again; ``None``
+            when the injector did not compile.  Not part of equality or repr.
     """
 
     design_name: str
@@ -44,6 +48,7 @@ class BugInstance:
     failing_assertions: list[str] = field(default_factory=list)
     is_direct: Optional[bool] = None
     description: str = ""
+    design: Optional[ElaboratedDesign] = field(default=None, compare=False, repr=False)
 
     @property
     def triggers_assertion(self) -> bool:

@@ -40,15 +40,3 @@ def format_answer(entry: SvaBugEntry, include_cot: bool = True) -> str:
         lines.append("Reasoning:")
         lines.append(entry.cot)
     return "\n".join(lines)
-
-
-def format_inference_prompt(spec: str, buggy_source: str, logs: str) -> str:
-    """The inference-time prompt of Fig. 2 (III): spec + buggy SV + logs."""
-    return (
-        "There is a buggy SystemVerilog design that will trigger assertions when simulated.\n"
-        f"Buggy SystemVerilog:\n{buggy_source}\n"
-        f"Logs:\n{logs}\n"
-        f"The specification is:\n{spec}\n"
-        "Return a JSON object with the fields \"bug_line\", \"fixed_line\", "
-        "\"line_number\" and \"explanation\"."
-    )

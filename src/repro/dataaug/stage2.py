@@ -301,15 +301,19 @@ class Stage2Runner:
             store.dataflow(golden_design) if self._config.static_screen == "cone" else None
         )
         for index, bug in enumerate(bugs):
-            buggy_compile = compile_source(bug.buggy_source)
-            if not buggy_compile.ok or buggy_compile.design is None:
+            # The injector's compile check already elaborated the mutant.
+            buggy_design = bug.design
+            if buggy_design is None:
+                buggy_compile = compile_source(bug.buggy_source)
+                buggy_design = buggy_compile.design if buggy_compile.ok else None
+            if buggy_design is None:
                 result.rejected_not_compiling += 1
                 continue
             if golden_dfg is not None:
                 from repro.analyze.cone import cone_screen
                 from repro.obs import get_registry
 
-                decision = cone_screen(golden_dfg, store.dataflow(buggy_compile.design))
+                decision = cone_screen(golden_dfg, store.dataflow(buggy_design))
                 if decision.skip:
                     # The edit is invisible to every validated assertion, so
                     # this mutant can never fail one: it is a Verilog-Bug
@@ -330,18 +334,18 @@ class Stage2Runner:
                     )
                     continue
             buggy_compiled = store.compiled_design(
-                buggy_compile.design, base=base_compiled
+                buggy_design, base=base_compiled
             )
             stimulus_seed = self._config.seed + 101 + index
             try:
                 trace = _simulate(
-                    buggy_compile.design, stimulus_seed, self._config.random_cycles,
+                    buggy_design, stimulus_seed, self._config.random_cycles,
                     compiled=buggy_compiled,
                 )
             except SimulationError:
                 result.rejected_not_compiling += 1
                 continue
-            report = store.checker(buggy_compile.design, base=base_checker).check(trace)
+            report = store.checker(buggy_design, base=base_checker).check(trace)
             if report.passed:
                 result.verilog_bug.append(
                     VerilogBugEntry(
@@ -360,7 +364,7 @@ class Stage2Runner:
             failing_names = report.failed_assertions
             bug.failing_assertions = failing_names
             failing_specs = [
-                spec for spec in buggy_compile.design.assertions if spec.name in failing_names
+                spec for spec in buggy_design.assertions if spec.name in failing_names
             ]
             bug.is_direct = classify_direct(bug, failing_specs)
             logs = format_failure_log(sample.name, report)

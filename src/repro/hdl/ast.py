@@ -576,23 +576,3 @@ def _target_names(target: Expression) -> list[str]:
             names.extend(_target_names(part))
         return names
     return []
-
-
-def statement_expressions(statement: Statement) -> Iterator[Expression]:
-    """Yield every expression appearing inside ``statement`` (conditions, RHS, LHS)."""
-    for node in statement.walk():
-        if isinstance(node, Assign):
-            yield node.target
-            yield node.value
-        elif isinstance(node, If):
-            yield node.condition
-        elif isinstance(node, Case):
-            yield node.subject
-            for item in node.items:
-                yield from item.labels
-        elif isinstance(node, For):
-            yield node.init_value
-            yield node.condition
-            yield node.step_value
-        elif isinstance(node, SystemTaskCall):
-            yield from node.args

@@ -18,7 +18,7 @@ structural analyses (cone of influence, suspicious-line features).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.hdl import ast
@@ -417,8 +417,7 @@ class Elaborator:
     def _elaborate_always(
         self, block: ast.AlwaysBlock, design: ElaboratedDesign, prefix: str
     ) -> ProceduralBlock:
-        body = copy.deepcopy(block.body)
-        body = _unroll_statement(body, design.parameters)
+        body = _unroll_statement(block.body, design.parameters)
         body = _prefix_statement(body, prefix)
         sensitivity = [
             ast.SensitivityItem(edge=item.edge, signal=prefix + item.signal)
@@ -532,18 +531,52 @@ def _prefix_expression(expr: ast.Expression, prefix: str) -> ast.Expression:
 
 
 def _prefix_statement(statement: ast.Statement, prefix: str) -> ast.Statement:
+    """``statement`` with ``prefix`` on every name it reads or writes.
+
+    Copy-on-write: rewritten nodes are new, the input is never mutated, and
+    nodes with nothing to rename (system task calls, null statements) are
+    shared.  System task arguments are not renamed.
+    """
     if not prefix:
         return statement
-    for node in statement.walk():
-        if isinstance(node, ast.Assign):
-            node.target = _prefix_expression(node.target, prefix)
-            node.value = _prefix_expression(node.value, prefix)
-        elif isinstance(node, ast.If):
-            node.condition = _prefix_expression(node.condition, prefix)
-        elif isinstance(node, ast.Case):
-            node.subject = _prefix_expression(node.subject, prefix)
-            for item in node.items:
-                item.labels = [_prefix_expression(label, prefix) for label in item.labels]
+    if isinstance(statement, ast.Block):
+        return ast.Block(
+            statements=[_prefix_statement(s, prefix) for s in statement.statements],
+            name=statement.name,
+        )
+    if isinstance(statement, ast.Assign):
+        return ast.Assign(
+            target=_prefix_expression(statement.target, prefix),
+            value=_prefix_expression(statement.value, prefix),
+            blocking=statement.blocking,
+            line=statement.line,
+        )
+    if isinstance(statement, ast.If):
+        return ast.If(
+            condition=_prefix_expression(statement.condition, prefix),
+            then_branch=_prefix_statement(statement.then_branch, prefix),
+            else_branch=(
+                _prefix_statement(statement.else_branch, prefix)
+                if statement.else_branch is not None
+                else None
+            ),
+            line=statement.line,
+        )
+    if isinstance(statement, ast.Case):
+        return ast.Case(
+            subject=_prefix_expression(statement.subject, prefix),
+            items=[
+                ast.CaseItem(
+                    labels=[_prefix_expression(label, prefix) for label in item.labels],
+                    body=_prefix_statement(item.body, prefix),
+                )
+                for item in statement.items
+            ],
+            variant=statement.variant,
+            line=statement.line,
+        )
+    if isinstance(statement, ast.For):
+        return replace(statement, body=_prefix_statement(statement.body, prefix))
     return statement
 
 
@@ -602,34 +635,44 @@ def _substitute_statement(statement: ast.Statement, name: str, value: int) -> as
 
 
 def _unroll_statement(statement: ast.Statement, parameters: dict[str, int]) -> ast.Statement:
-    """Recursively unroll for-loops with constant bounds."""
+    """Recursively unroll for-loops with constant bounds.
+
+    Copy-on-write: only the path from ``statement`` down to each ``for`` is
+    rebuilt; a subtree without one is returned as is, shared with the input.
+    """
     if isinstance(statement, ast.Block):
-        new_statements = [_unroll_statement(s, parameters) for s in statement.statements]
-        return ast.Block(statements=new_statements, name=statement.name)
+        statements = [_unroll_statement(s, parameters) for s in statement.statements]
+        if _same_nodes(statements, statement.statements):
+            return statement
+        return ast.Block(statements=statements, name=statement.name)
     if isinstance(statement, ast.If):
-        return ast.If(
-            condition=statement.condition,
-            then_branch=_unroll_statement(statement.then_branch, parameters),
-            else_branch=(
-                _unroll_statement(statement.else_branch, parameters)
-                if statement.else_branch is not None
-                else None
-            ),
-            line=statement.line,
+        then_branch = _unroll_statement(statement.then_branch, parameters)
+        else_branch = (
+            _unroll_statement(statement.else_branch, parameters)
+            if statement.else_branch is not None
+            else None
         )
+        if then_branch is statement.then_branch and else_branch is statement.else_branch:
+            return statement
+        return replace(statement, then_branch=then_branch, else_branch=else_branch)
     if isinstance(statement, ast.Case):
-        return ast.Case(
-            subject=statement.subject,
+        bodies = [_unroll_statement(item.body, parameters) for item in statement.items]
+        if _same_nodes(bodies, [item.body for item in statement.items]):
+            return statement
+        return replace(
+            statement,
             items=[
-                ast.CaseItem(labels=item.labels, body=_unroll_statement(item.body, parameters))
-                for item in statement.items
+                ast.CaseItem(labels=item.labels, body=body)
+                for item, body in zip(statement.items, bodies)
             ],
-            variant=statement.variant,
-            line=statement.line,
         )
     if isinstance(statement, ast.For):
         return _unroll_for(statement, parameters)
     return statement
+
+
+def _same_nodes(new: list[ast.Statement], old: list[ast.Statement]) -> bool:
+    return all(a is b for a, b in zip(new, old))
 
 
 def _unroll_for(loop: ast.For, parameters: dict[str, int]) -> ast.Block:

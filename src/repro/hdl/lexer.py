@@ -4,14 +4,30 @@ The lexer is deliberately strict: anything outside the supported subset is
 reported as a :class:`~repro.hdl.errors.LexError` with a line/column, which
 is exactly what the data-augmentation pipeline needs from its "compiler"
 stage (accept/reject plus a diagnostic).
+
+:func:`tokenize` is a per-line scanner over a memo.  The pipeline compiles
+thousands of one-line mutants of a few designs, so almost every line it
+reads it has read before, at the same line number.  Each line is scanned
+with one master regex and its tokens are kept, keyed by ``(line number,
+line text)``, as a tuple of shared frozen :class:`Token` objects; a repeated
+line costs one dict lookup.  Text the per-line scanner cannot reproduce
+exactly goes to the character-level :class:`Lexer` instead: block comments
+and backslashes (escaped identifiers, string escapes) can span lines, and a
+line the scanner does not fully consume (non-ASCII identifiers, malformed
+literals, stray characters) is an error or an edge case.  So every
+diagnostic, and every token stream the scanner does not know, is the
+:class:`Lexer`'s; ``hdl.lex.scalar[<reason>]`` counts those texts.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.hdl.errors import LexError
+from repro.obs import get_registry, labeled
 
 
 class TokenKind(enum.Enum):
@@ -231,6 +247,12 @@ class Lexer:
                 raise LexError("newline in string literal", start_line, start_col, "newline-in-string")
             if ch == "\\":
                 nxt = self._peek(1)
+                if nxt == "\n":
+                    # A backslash-newline continues the literal on the next
+                    # line; both characters are dropped (IEEE 1800-2017 5.9).
+                    self._pos += 1
+                    self._advance_newline()
+                    continue
                 chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
                 self._advance(2)
                 continue
@@ -311,6 +333,100 @@ class Lexer:
         raise LexError(f"unexpected character {ch!r}", start_line, start_col, "unexpected-character")
 
 
+# ---------------------------------------------------------------------- #
+# the per-line scanner
+# ---------------------------------------------------------------------- #
+
+#: One alternative per token class, tried in the order :class:`Lexer`
+#: dispatches.  Only ASCII is matched outside comments and strings, and no
+#: alternative can stop short of what :class:`Lexer` would consume: a
+#: decimal run followed by an incomplete based literal (``4'x``) matches
+#: nothing, so the line, and with it the text, goes to :class:`Lexer`.
+_LINE_SCANNER = re.compile(
+    r"(?P<skip>[ \t\r]+|//.*|`.*)"
+    r'|(?P<string>"[^"]*")'
+    r"|(?P<system>\$[A-Za-z0-9_]+)"
+    r"|(?P<number>[0-9][0-9_]*(?:'[sS]?[bBdDhHoO][A-Za-z0-9_?]+|(?![0-9_']))"
+    r"|'[bBdDhHoO][A-Za-z0-9_?]+)"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_$]*)"
+    r"|(?P<op>" + "|".join(re.escape(op) for op in _MULTI_CHAR_OPERATORS)
+    + r"|[-+*/%&|^~!<>=?:#])"
+    r"|(?P<punct>[()\[\]{},;.@]|'(?![bBdDhHoO]))"
+)
+
+_GROUP_KINDS = {
+    "string": TokenKind.STRING,
+    "system": TokenKind.SYSTEM_IDENT,
+    "number": TokenKind.NUMBER,
+    "op": TokenKind.OPERATOR,
+    "punct": TokenKind.PUNCT,
+}
+
+#: Entries of the ``(line number, line text)`` memo before it is cleared.
+#: A 16-design pipeline run fills ~1.3k; a full memo holds a few MB.
+LINE_MEMO_LIMIT = 1 << 14
+
+_line_memo: dict[tuple[int, str], tuple[Token, ...]] = {}
+
+
+def _scan_line(number: int, line: str) -> Optional[tuple[Token, ...]]:
+    """The tokens of one line, or ``None`` when the scanner cannot consume it."""
+    tokens: list[Token] = []
+    match = _LINE_SCANNER.match
+    pos, end = 0, len(line)
+    while pos < end:
+        found = match(line, pos)
+        if found is None:
+            return None
+        group = found.lastgroup
+        if group != "skip":
+            value = found.group()
+            if group == "word":
+                kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
+            else:
+                kind = _GROUP_KINDS[group]
+                if kind is TokenKind.STRING:
+                    value = value[1:-1]
+            tokens.append(Token(kind, value, number, pos + 1))
+        pos = found.end()
+    return tuple(tokens)
+
+
+def _scan(text: str) -> Optional[list[Token]]:
+    """Tokenize ``text`` line by line through the memo (``None``: not scannable)."""
+    if text.endswith("'"):
+        return None  # Lexer reads a final quote as a based literal cut short
+    tokens: list[Token] = []
+    memo = _line_memo
+    lines = text.split("\n")
+    for number, line in enumerate(lines, 1):
+        key = (number, line)
+        line_tokens = memo.get(key)
+        if line_tokens is None:
+            line_tokens = _scan_line(number, line)
+            if line_tokens is None:
+                return None
+            if len(memo) >= LINE_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = line_tokens
+        tokens.extend(line_tokens)
+    tokens.append(Token(TokenKind.EOF, "", len(lines), len(lines[-1]) + 1))
+    return tokens
+
+
 def tokenize(text: str) -> list[Token]:
-    """Tokenize ``text`` and return the token list (including the EOF token)."""
+    """Tokenize ``text`` and return the token list (including the EOF token).
+
+    Equal to ``Lexer(text).tokenize()`` on every input, errors included.
+    """
+    if "/*" in text:
+        reason = "block_comment"
+    elif "\\" in text:
+        reason = "backslash"
+    else:
+        tokens = _scan(text)
+        if tokens is not None:
+            return tokens
+        reason = "unscanned"
+    get_registry().inc(labeled("hdl.lex.scalar", reason))
     return Lexer(text).tokenize()

@@ -12,7 +12,6 @@ from __future__ import annotations
 import abc
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from repro.hdl.source import normalize_line
 from repro.model.case import RepairCase
@@ -127,10 +126,3 @@ class RepairEngine(abc.ABC):
             merged.values(), key=lambda item: (-item[0], -item[1], item[2])
         )
         return [item[3] for item in ranked[:k]]
-
-
-def responses_as_json(responses: Sequence[RepairResponse]) -> str:
-    """Render a batch of responses as a JSON array (used by examples/logging)."""
-    return json.dumps(
-        [json.loads(response.to_json()) for response in responses], indent=2
-    )

@@ -99,3 +99,26 @@ def test_small_pipeline_end_to_end():
     train_designs = {e.design_name for e in datasets.sva_bug_train}
     eval_designs = {e.design_name for e in datasets.sva_eval_machine}
     assert not (train_designs & eval_designs)
+
+
+def test_stage2_compiles_each_mutant_once(monkeypatch):
+    """The injector's compile check elaborates each mutant; Stage 2 reuses
+    that design (``BugInstance.design``) instead of compiling it again."""
+    import repro.bugs.injector as injector
+    import repro.dataaug.stage2 as stage2
+
+    compiled: list[str] = []
+
+    def counting(original):
+        def compile_source(text, *args, **kwargs):
+            compiled.append(text)
+            return original(text, *args, **kwargs)
+
+        return compile_source
+
+    monkeypatch.setattr(injector, "compile_source", counting(injector.compile_source))
+    monkeypatch.setattr(stage2, "compile_source", counting(stage2.compile_source))
+    result = Stage2Runner(Stage2Config(seed=5), RunPolicy(workers=1)).run(compiled_samples(count=3))
+    mutants = [e.buggy_source for e in result.sva_bug] + [e.buggy_source for e in result.verilog_bug]
+    assert mutants
+    assert all(compiled.count(source) == 1 for source in mutants)
