@@ -76,8 +76,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dataclasses import replace  # noqa: E402
 
-from repro.artifacts import ArtifactStore  # noqa: E402
-from repro.artifacts import store as artifact_store  # noqa: E402
+from repro.artifacts import ArtifactStore, reset_process_stores  # noqa: E402
 from repro.bugs.mutators import enumerate_mutations  # noqa: E402
 from repro.dataaug.pipeline import DataAugmentationPipeline, PipelineConfig  # noqa: E402
 from repro.eval.executor import VerificationJob, run_verification_jobs  # noqa: E402
@@ -203,23 +202,26 @@ def screening_leg(entries, seed: int, workers: int) -> tuple[dict, list[str]]:
     * provenance ``static_reject``: the unscreened ground truth must not be
       a confirmed repair (``pass`` with an exercised assertion).
 
-    Each leg is timed best-of-``SCREEN_ROUNDS``, the legs alternating
-    which runs first, and every run starts from an empty in-process
-    artifact store, so neither leg inherits the other's elaborations.
-    Neither leg uses a verdict cache.
+    One untimed run of each leg warms the process-global front end (the
+    lexer's line memo), then each leg is timed best-of-``SCREEN_ROUNDS``,
+    the legs alternating which runs first.  Every run starts from empty
+    in-process artifact stores, so neither leg inherits the other's
+    elaborations.  Neither leg uses a verdict cache.
     """
     jobs = screening_workload(entries, seed)
     screened_jobs = [replace(job, static_screen="full") for job in jobs]
 
     legs = {"screened": screened_jobs, "off": jobs}
+    for leg_jobs in legs.values():
+        run_verification_jobs(leg_jobs, workers=workers)
     walls: dict[str, list[float]] = {leg: [] for leg in legs}
     shards, counters = {}, {}
     for round_index in range(SCREEN_ROUNDS):
         order = list(legs) if round_index % 2 == 0 else list(reversed(legs))
         for leg in order:
-            # Pool workers start with empty stores of their own; dropping
-            # the memory-only process store does the same for workers=1.
-            artifact_store._PROCESS_STORES.pop(None, None)
+            # Pool workers start with empty stores of their own; the reset
+            # does the same for workers=1.
+            reset_process_stores()
             with scoped_registry() as registry:
                 started = time.perf_counter()
                 shards[leg] = run_verification_jobs(legs[leg], workers=workers)

@@ -51,6 +51,7 @@ non-settling loops surface as ``sim_error`` on their own.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.analyze.dfg import SignalDfg
@@ -111,12 +112,22 @@ class ScreenDecision:
     overlap: tuple[str, ...] = ()  # changed signals inside some assertion cone
 
 
+#: Union cone per graph; the store shares one graph per design fingerprint,
+#: and the screen asks for the base's union once per candidate.
+_UNION_CONES: "weakref.WeakKeyDictionary[SignalDfg, frozenset[str]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def union_assertion_cone(dfg: SignalDfg) -> frozenset[str]:
     """Union of every checked assertion's cone of influence."""
-    cone: set[str] = set()
-    for signals in dfg.assertion_cones().values():
-        cone |= signals
-    return frozenset(cone)
+    cone = _UNION_CONES.get(dfg)
+    if cone is None:
+        union: set[str] = set()
+        for signals in dfg.assertion_cones().values():
+            union |= signals
+        cone = _UNION_CONES[dfg] = frozenset(union)
+    return cone
 
 
 def cone_screen(base: SignalDfg, patched: SignalDfg) -> ScreenDecision:

@@ -33,6 +33,7 @@ from repro.artifacts.store import (
     ArtifactStore,
     default_store,
     process_store,
+    reset_process_stores,
 )
 
 __all__ = [
@@ -48,4 +49,5 @@ __all__ = [
     "design_fingerprint",
     "initial_node_key",
     "process_store",
+    "reset_process_stores",
 ]

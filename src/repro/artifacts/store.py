@@ -290,3 +290,8 @@ def process_store(disk_dir: Union[Path, str, None] = None) -> ArtifactStore:
 def default_store() -> ArtifactStore:
     """The process-wide store with no on-disk tier (memory-only)."""
     return process_store(None)
+
+
+def reset_process_stores() -> None:
+    """Drop every per-process store; the next lookup starts empty."""
+    _PROCESS_STORES.clear()

@@ -30,7 +30,6 @@ class InjectionConfig:
     seed: int = 7
     max_bugs_per_design: int = 6
     max_candidates_per_line: int = 3
-    require_compile: bool = True
 
 
 #: line prefixes that never receive bugs (structure, declarations, assertions).
@@ -166,12 +165,9 @@ class BugInjector:
         elaborated_targets: Optional[list[str]] = None,
     ) -> Optional[BugInstance]:
         buggy_source = source_file.with_line_replaced(line_number, mutation.buggy_line).text
-        buggy_design = None
-        if self._config.require_compile:
-            result = compile_source(buggy_source)
-            if not result.ok:
-                return None
-            buggy_design = result.design
+        result = compile_source(buggy_source)
+        if not result.ok or result.design is None:
+            return None
         assigned = list(elaborated_targets) if elaborated_targets else self._assigned_signals(golden_line)
         return BugInstance(
             design_name=design_name,
@@ -185,7 +181,7 @@ class BugInjector:
             is_conditional=self._is_conditional(golden_line, mutation),
             assigned_signals=assigned,
             description=mutation.description,
-            design=buggy_design,
+            design=result.design,
         )
 
     @staticmethod

@@ -31,8 +31,8 @@ class BugInstance:
             assertion (filled in by the validation stage).
         description: human-readable summary of the mutation.
         design: the elaborated buggy source, kept from the injector's compile
-            check so the validation stage does not compile it again; ``None``
-            when the injector did not compile.  Not part of equality or repr.
+            check so the validation stage does not compile it again.  Not part
+            of equality or repr.
     """
 
     design_name: str
@@ -44,11 +44,11 @@ class BugInstance:
     mutation_name: str
     edit_kind: str
     is_conditional: bool
+    design: ElaboratedDesign = field(compare=False, repr=False)
     assigned_signals: list[str] = field(default_factory=list)
     failing_assertions: list[str] = field(default_factory=list)
     is_direct: Optional[bool] = None
     description: str = ""
-    design: Optional[ElaboratedDesign] = field(default=None, compare=False, repr=False)
 
     @property
     def triggers_assertion(self) -> bool:

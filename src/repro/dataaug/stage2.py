@@ -94,7 +94,9 @@ class Stage2Config:
                 self.injection.seed,
                 self.injection.max_bugs_per_design,
                 self.injection.max_candidates_per_line,
-                self.injection.require_compile,
+                # Was InjectionConfig.require_compile; the injector always
+                # compiles now, kept so existing cache keys still hit.
+                True,
                 # Was the checker-backend name; kept so existing cache keys still hit.
                 "auto",
                 policy.job_timeout,
@@ -303,12 +305,6 @@ class Stage2Runner:
         for index, bug in enumerate(bugs):
             # The injector's compile check already elaborated the mutant.
             buggy_design = bug.design
-            if buggy_design is None:
-                buggy_compile = compile_source(bug.buggy_source)
-                buggy_design = buggy_compile.design if buggy_compile.ok else None
-            if buggy_design is None:
-                result.rejected_not_compiling += 1
-                continue
             if golden_dfg is not None:
                 from repro.analyze.cone import cone_screen
                 from repro.obs import get_registry

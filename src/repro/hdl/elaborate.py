@@ -403,7 +403,7 @@ class Elaborator:
                 else:
                     design.comb_blocks.append(block)
             elif isinstance(item, ast.InitialBlock):
-                body = _prefix_statement(copy.deepcopy(item.body), prefix)
+                body = _prefix_statement(item.body, prefix)
                 design.initial_blocks.append(ast.InitialBlock(body=body, line=item.line))
             elif isinstance(item, ast.Instantiation):
                 self._flatten_instance(item, design, prefix, depth)

@@ -363,8 +363,9 @@ _GROUP_KINDS = {
 }
 
 #: Entries of the ``(line number, line text)`` memo before it is cleared.
-#: A 16-design pipeline run fills ~1.3k; a full memo holds a few MB.
-LINE_MEMO_LIMIT = 1 << 14
+#: A 16-design pipeline run fills ~1.3k; a full memo of pipeline lines
+#: traces at 5.3 MB (tracemalloc, ~1.3 kB an entry).
+LINE_MEMO_LIMIT = 1 << 12
 
 _line_memo: dict[tuple[int, str], tuple[Token, ...]] = {}
 

@@ -44,6 +44,7 @@ endmodule
 module top(input wire clk, input wire [3:0] a, output wire [3:0] y, output reg [3:0] r);
   integer j;
   sub #(.W(4)) u0 (.clk(clk), .d(a), .q(y));
+  initial r = 4'd0;
   always @(posedge clk) begin
     r <= a;
     for (j = 0; j < 2; j = j + 1) r[j] <= a[j] ^ r[j];
@@ -112,6 +113,18 @@ def test_top_level_blocks_without_for_share_the_units_statements():
     bodies = [item.body for item in result.unit.top.items if isinstance(item, ast.AlwaysBlock)]
     elaborated = [block.body for block in result.design.comb_blocks + result.design.seq_blocks]
     assert bodies and all(any(body is e for e in elaborated) for body in bodies)
+
+
+def test_initial_blocks_are_shared_at_top_level_and_renamed_in_instances():
+    result = compile_source(HIERARCHY)
+    top_initial = next(i for i in result.unit.top.items if isinstance(i, ast.InitialBlock))
+    sub = result.unit.find_module("sub")
+    sub_initial = next(i for i in sub.items if isinstance(i, ast.InitialBlock))
+    by_text = {canon_stmt(block.body): block.body for block in result.design.initial_blocks}
+    assert by_text.keys() == {"{u0__q=#0w1x0}", "r=#0w4x0"}
+    assert by_text["r=#0w4x0"] is top_initial.body
+    assert by_text["{u0__q=#0w1x0}"] is not sub_initial.body
+    assert canon_stmt(sub_initial.body) == "{q=#0w1x0}"
 
 
 def test_instance_blocks_are_renamed_copies_and_the_unit_keeps_its_names():

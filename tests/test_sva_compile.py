@@ -203,7 +203,7 @@ def test_check_assertions_caches_checker_in_artifact_store():
     # pickles, and even a *fresh elaboration* of the same source hits.
     import pickle
 
-    from repro.artifacts import default_store
+    from repro.artifacts import default_store, reset_process_stores
 
     design = shift2_design()
     trace = shift2_trace(design)
@@ -216,6 +216,9 @@ def test_check_assertions_caches_checker_in_artifact_store():
     pickle.dumps(design)
     for name in first.outcomes:
         assert outcome_fields(first.outcomes[name]) == outcome_fields(second.outcomes[name])
+    reset_process_stores()
+    assert len(default_store()) == 0
+    assert default_store().checker(design) is not checker
 
 
 def test_unloweable_assertion_is_demoted_with_reason():
