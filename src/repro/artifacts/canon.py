@@ -14,7 +14,7 @@ provides that content address at two granularities:
 * per-node keys (:func:`assign_node_key`, :func:`block_node_key`,
   :func:`initial_node_key`, :func:`assertion_key`) -- the unit of
   *incremental relowering*: a patched design reuses a base design's lowered
-  closures for every node whose key is unchanged and relowers only the
+  functions for every node whose key is unchanged and relowers only the
   dirty cone.
 
 The renderer is deliberately independent of the AST nodes' ``__str__``

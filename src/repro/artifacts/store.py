@@ -8,7 +8,7 @@ three levels:
 * an **in-process LRU** keyed by :func:`~repro.artifacts.canon.design_fingerprint`
   holds lowered state -- :class:`~repro.sim.compile.CompiledDesign` and
   :class:`~repro.sva.compile.CompiledAssertionChecker` instances.  Lowered
-  closures are process-local by nature (they do not pickle), so this tier is
+  functions are process-local by nature (they do not pickle), so this tier is
   bounded (``REPRO_ARTIFACT_LRU``, default 128 entries) and evicts
   least-recently used entries instead of pinning them forever;
 * an optional **on-disk tier** (a :class:`~repro.runtime.cache.ResultCache`)
@@ -21,7 +21,7 @@ three levels:
 * **incremental relowering**: the typed helpers accept a ``base`` artifact
   and hand it to :func:`repro.sim.compile.compile_design` /
   :class:`repro.sva.compile.CompiledAssertionChecker`, which reuse the
-  base's closures for every content-identical node and relower only the
+  base's lowered functions for every content-identical node and relower only the
   dirty cone.
 
 Counters (``artifact.hits`` / ``artifact.misses`` / ``artifact.evictions``,
@@ -293,5 +293,12 @@ def default_store() -> ArtifactStore:
 
 
 def reset_process_stores() -> None:
-    """Drop every per-process store; the next lookup starts empty."""
+    """Drop every per-process store and the simulator's code memo.
+
+    The next lookup starts empty, so a timed leg measures node reuse, not
+    memo hits from an earlier leg.
+    """
+    from repro.sim.compile import clear_code_memo
+
     _PROCESS_STORES.clear()
+    clear_code_memo()

@@ -22,7 +22,7 @@ from repro.eval.cache import VerdictCache, verdict_key
 from repro.hdl.lint import compile_source
 from repro.obs import get_registry, phase
 from repro.hdl.source import SourceFile, lines_equivalent
-from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.compile import CompiledAssertionChecker
 
@@ -474,14 +474,10 @@ class SemanticVerifier:
                 stimulus = StimulusGenerator(design, seed=seed).mixed_stimulus(
                     random_cycles=cycles, reset_cycles=self.config.reset_cycles
                 )
-                # Column recording streams per-signal (value, xmask) change
-                # events into the trace while simulating, so the compiled
-                # checker's columnar view costs O(changes) per seed and the
-                # trace never needs to materialise per-cycle dicts; each
-                # candidate's columns are then built once per trace inside
-                # the batched checking pass.
-                options = SimulatorOptions(record_columns=True)
-                return Simulator(design, options, compiled=compiled).run(stimulus.vectors)
+                # The compiled simulator records one per-slot event log, so
+                # the checker's columnar view costs O(changes) per seed and
+                # the trace never materialises per-cycle dicts.
+                return Simulator(design, compiled=compiled).run(stimulus.vectors)
 
         exercised = False
 

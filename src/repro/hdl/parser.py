@@ -48,6 +48,16 @@ _BINARY_PRECEDENCE: dict[str, int] = {
 
 _UNARY_OPERATORS = frozenset({"~", "!", "-", "+", "&", "|", "^"})
 
+#: Deepest expression the parser accepts.  It bounds both the parser's own
+#: re-entry (parentheses, unary operators, ternary branches, selects,
+#: concatenations, call arguments) and the expression-tree depth (binary
+#: chains build deep trees without re-entering the parser).  Every
+#: recursive consumer downstream -- ``Expression.walk``, elaboration,
+#: canonical rendering, the simulator's code generator, ``InterpSimulator``
+#: and SVA lowering -- stays inside Python's default recursion limit at this
+#: depth; past it the source gets a located ``expression-too-deep`` error.
+MAX_EXPRESSION_DEPTH = 128
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.hdl.ast.SourceUnit`."""
@@ -56,6 +66,10 @@ class Parser:
         self._tokens = tokens
         self._pos = 0
         self._text = text
+        #: Parser re-entry depth of the expression being parsed.
+        self._nesting = 0
+        #: Tree depth of the expression the last _parse_* call returned.
+        self._depth = 0
 
     # ------------------------------------------------------------------ #
     # token-stream helpers
@@ -708,21 +722,40 @@ class Parser:
     # expressions
     # ------------------------------------------------------------------ #
 
+    def _too_deep(self, depth: int, token: Token) -> None:
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ParseError(
+                f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels",
+                token.line,
+                token.column,
+                "expression-too-deep",
+            )
+
     def _parse_expression(self) -> ast.Expression:
-        return self._parse_ternary()
+        self._nesting += 1
+        try:
+            self._too_deep(self._nesting, self._current)
+            return self._parse_ternary()
+        finally:
+            self._nesting -= 1
 
     def _parse_ternary(self) -> ast.Expression:
         condition = self._parse_binary(1)
         if self._current.is_op("?"):
-            self._advance()
+            token = self._advance()
+            depth = self._depth
             if_true = self._parse_expression()
+            depth = max(depth, self._depth)
             self._expect_op(":")
             if_false = self._parse_expression()
+            self._depth = max(depth, self._depth) + 1
+            self._too_deep(self._depth, token)
             return ast.Ternary(condition=condition, if_true=if_true, if_false=if_false)
         return condition
 
     def _parse_binary(self, min_precedence: int) -> ast.Expression:
         left = self._parse_unary()
+        depth = self._depth
         while True:
             token = self._current
             if token.kind is not TokenKind.OPERATOR:
@@ -732,14 +765,24 @@ class Parser:
                 break
             self._advance()
             right = self._parse_binary(precedence + 1)
+            depth = max(depth, self._depth) + 1
+            self._too_deep(depth, token)
             left = ast.Binary(op=token.value, left=left, right=right)
+        self._depth = depth
         return left
 
     def _parse_unary(self) -> ast.Expression:
         token = self._current
         if token.kind is TokenKind.OPERATOR and token.value in _UNARY_OPERATORS:
             self._advance()
-            operand = self._parse_unary()
+            self._nesting += 1
+            try:
+                self._too_deep(self._nesting, token)
+                operand = self._parse_unary()
+            finally:
+                self._nesting -= 1
+            self._depth += 1
+            self._too_deep(self._depth, token)
             return ast.Unary(op=token.value, operand=operand)
         return self._parse_primary()
 
@@ -747,6 +790,7 @@ class Parser:
         token = self._current
         if token.kind is TokenKind.NUMBER:
             self._advance()
+            self._depth = 1
             return parse_number(token)
         if token.kind is TokenKind.SYSTEM_IDENT:
             return self._parse_system_call()
@@ -759,48 +803,65 @@ class Parser:
             return self._parse_concat_or_replicate()
         if token.kind is TokenKind.IDENT:
             self._advance()
+            self._depth = 1
             return self._parse_postfix(ast.Identifier(name=token.value))
         raise self._error(f"unexpected token '{token.value or 'EOF'}' in expression")
 
     def _parse_system_call(self) -> ast.Expression:
         token = self._advance()
         args: list[ast.Expression] = []
+        depth = 0
         if self._accept_punct("("):
             if not self._current.is_punct(")"):
                 while True:
                     args.append(self._parse_expression())
+                    depth = max(depth, self._depth)
                     if not self._accept_punct(","):
                         break
             self._expect_punct(")")
+        self._depth = depth + 1
+        self._too_deep(self._depth, token)
         return ast.SystemCall(name=token.value, args=args)
 
     def _parse_concat_or_replicate(self) -> ast.Expression:
-        self._expect_punct("{")
+        token = self._expect_punct("{")
         first = self._parse_expression()
+        depth = self._depth
         if self._current.is_punct("{"):
             # Replication: {count{value}}
             self._advance()
             value = self._parse_expression()
             self._expect_punct("}")
             self._expect_punct("}")
+            self._depth = max(depth, self._depth) + 1
+            self._too_deep(self._depth, token)
             return ast.Replicate(count=first, value=value)
         parts = [first]
         while self._accept_punct(","):
             parts.append(self._parse_expression())
+            depth = max(depth, self._depth)
         self._expect_punct("}")
+        self._depth = depth + 1
+        self._too_deep(self._depth, token)
         return ast.Concat(parts=parts)
 
     def _parse_postfix(self, expr: ast.Expression) -> ast.Expression:
+        depth = self._depth
         while self._current.is_punct("["):
-            self._advance()
+            token = self._advance()
             first = self._parse_expression()
+            depth = max(depth, self._depth)
             if self._accept_op(":"):
                 second = self._parse_expression()
+                depth = max(depth, self._depth)
                 self._expect_punct("]")
                 expr = ast.PartSelect(base=expr, msb=first, lsb=second)
             else:
                 self._expect_punct("]")
                 expr = ast.BitSelect(base=expr, index=first)
+            depth += 1
+            self._too_deep(depth, token)
+        self._depth = depth
         return expr
 
 

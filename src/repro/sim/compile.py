@@ -2,50 +2,56 @@
 
 Instead of walking AST nodes for every evaluation (the
 :class:`~repro.sim.engine.InterpSimulator` strategy), this backend lowers an
-:class:`~repro.hdl.elaborate.ElaboratedDesign` **once** into Python closures:
+:class:`~repro.hdl.elaborate.ElaboratedDesign` **once** into generated
+Python source:
 
-* every expression becomes a closure ``fn(val, xm) -> (value, xmask, width)``
-  operating directly on two flat integer arrays (one slot per signal) -- no
-  per-node ``isinstance`` dispatch and no :class:`LogicValue` allocation on
-  the hot path;
-* every continuous assignment and procedural block becomes a *node* with a
-  precomputed read-set and write-set;
-* combinational settling is **dependency driven**: a signal write marks only
-  the nodes that read that signal dirty, and the settle loop drains the
-  dirty set in topologically-levelled order.  Quiet cycles re-run almost
-  nothing, where the interpreter re-evaluates every assign and comb block
-  on every settle iteration;
-* the trace records per-cycle *diffs* (:class:`~repro.sim.trace.DiffTrace`)
-  instead of copying the whole environment dict twice per cycle.
+* every continuous assignment and every comb, clocked and initial block
+  becomes one Python function, emitted as straight-line statements on
+  local ints over two flat integer arrays (one slot per signal) and built
+  by ``compile()``/``exec``.  Emitted code names signals only by slot index
+  and takes every literal from a Python int, so no Verilog identifier ever
+  reaches the generated source;
+* each node has a precomputed read-set and write-set, and combinational
+  settling is **dependency driven**: a signal write marks only the nodes
+  that read that signal dirty, and the settle loop drains the dirty set in
+  topologically-levelled order;
+* the trace is one per-slot change-event log
+  (:class:`~repro.sim.trace.DiffTrace`): flat ints, from which columns are
+  built with numpy and samples only when read.
 
 The backend is behaviourally identical to the interpreter: the differential
-test suite asserts ``equals()``-identical traces cycle by cycle.  Designs
-using constructs the compiler does not support raise :class:`CompileError`,
-which the :func:`~repro.sim.engine.Simulator` factory turns into a fallback
-to the interpreter.
+suites assert ``equals()``-identical traces cycle by cycle.  Designs using
+constructs the compiler does not support -- or whose generated code Python
+refuses to compile -- raise :class:`CompileError`, which the
+:func:`~repro.sim.engine.Simulator` factory turns into a fallback to the
+interpreter.
 """
 
 from __future__ import annotations
 
-import operator
 from heapq import heapify, heappop, heappush
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 from repro.hdl import ast
 from repro.hdl.elaborate import ElaboratedDesign, ProceduralBlock
 from repro.sim.engine import _MAX_SETTLE_ITERATIONS, SimulationError, SimulatorOptions, detect_clock
+from repro.sim.evaluator import EvalError, Evaluator
 from repro.sim.trace import DiffTrace, TraceSample
 from repro.sim.values import LogicValue
 
-#: An expression closure: (values, xmasks) -> (value, xmask, width).
-ExprFn = Callable[[list, list], tuple]
-
-#: A statement closure: (values, xmasks, blocking, nonblocking) -> None.
-StmtFn = Callable[[list, list, dict, dict], None]
+#: An emitted operand: (value source, xmask source, width).  The sources are
+#: atoms -- a decimal literal, a local name or ``V[slot]``/``X[slot]`` -- and
+#: the width is an int wherever it is static, else the name of a local.
+Operand = tuple[str, str, Union[int, str]]
 
 
 class CompileError(Exception):
     """Raised when a design uses a construct the compiled backend rejects."""
+
+
+# --------------------------------------------------------------------------- #
+# runtime helpers the generated code calls (rare paths only)
+# --------------------------------------------------------------------------- #
 
 
 def _merge_select_write(
@@ -54,8 +60,8 @@ def _merge_select_write(
     """(value, xmask) after writing ``v``/``x`` into bits [msb:lsb] of current.
 
     Mirrors :func:`repro.sim.values.merge_bits` plus the final resize to the
-    signal mask ``sm``; shared by the procedural and continuous lowering so
-    the tricky slice arithmetic exists exactly once.
+    signal mask ``sm``; generated code calls it for select writes whose
+    bounds are not constants.
     """
     if msb < lsb:
         raise SimulationError(f"invalid write slice [{msb}:{lsb}]")
@@ -68,583 +74,668 @@ def _merge_select_write(
     return nv & sm & ~nx, nx
 
 
-def _select_target_parts(
-    target: ast.Expression,
-) -> tuple[ast.Identifier, ast.Expression, ast.Expression]:
-    """Destructure a bit/part-select assignment target into (base, msb, lsb)."""
-    if isinstance(target, ast.BitSelect):
-        base, msb_expr, lsb_expr = target.base, target.index, target.index
-    else:
-        base, msb_expr, lsb_expr = target.base, target.msb, target.lsb
-    if not isinstance(base, ast.Identifier):
-        raise CompileError("nested select targets are not supported")
-    return base, msb_expr, lsb_expr
+def _part_select(bv: int, bx: int, bw: int, mv: int, mx: int, lv: int, lx: int) -> tuple:
+    """``base[msb:lsb]`` with runtime bounds: (value, xmask, width)."""
+    if mx or lx:
+        return (0, (1 << bw) - 1, bw)
+    if mv < lv:
+        raise SimulationError(f"invalid slice [{mv}:{lv}]")
+    w = mv - lv + 1
+    m = (1 << w) - 1
+    if lv >= bw:
+        return (0, m, w)
+    v = bv >> lv
+    x = bx >> lv
+    if mv >= bw:
+        x |= ((1 << (mv - bw + 1)) - 1) << (bw - lv)
+    x &= m
+    return (v & m & ~x, x, w)
 
 
-def _fast_logic_value(v: int, x: int, w: int) -> LogicValue:
-    """Build a LogicValue from already-normalised fields, skipping validation.
+def _replicate(pv: int, px: int, pw: int, count: int) -> tuple:
+    """``{count{value}}`` with a runtime count or width: (value, xmask, width)."""
+    v = 0
+    x = 0
+    for _ in range(count):
+        v = (v << pw) | pv
+        x = (x << pw) | px
+    return (v, x, max(pw * count, 1))
 
-    The compiled backend maintains the class invariants (masked to width,
-    known bits cleared under the xmask) on every write, so re-normalising in
-    ``__post_init__`` would be pure overhead on the per-cycle path.
+
+def _replication_error(unknown: int) -> None:
+    if unknown:
+        raise SimulationError("replication count is unknown")
+    raise SimulationError("replication count must be >= 1")
+
+
+#: The only globals generated code sees: no builtins, just these helpers.
+_NAMESPACE_TEMPLATE = {
+    "__builtins__": {},
+    "msw": _merge_select_write,
+    "psel": _part_select,
+    "rep": _replicate,
+    "rerr": _replication_error,
+}
+
+#: Emitted node functions memoised by their exact source text.  Slots,
+#: widths and constants are all spelled out in the text, so equal text means
+#: an interchangeable, stateless function -- across designs, mutants and
+#: simulators.  Cleared whole at this many entries (like the lexer's line
+#: memo) and by :func:`repro.artifacts.reset_process_stores`.
+CODE_MEMO_LIMIT = 1 << 12
+_CODE_MEMO: dict[str, Callable] = {}
+
+
+def clear_code_memo() -> None:
+    """Drop every memoised node function."""
+    _CODE_MEMO.clear()
+
+
+def _build_function(source: str) -> Callable:
+    fn = _CODE_MEMO.get(source)
+    if fn is not None:
+        return fn
+    try:
+        code = compile(source, "<repro.sim.compile>", "exec")
+    except (SyntaxError, RecursionError, MemoryError, ValueError, OverflowError) as exc:
+        # "too many levels of indentation", a too-deep expression and the
+        # like: the design is fine, Python just cannot hold its code.
+        raise CompileError(f"generated code does not compile ({type(exc).__name__})") from exc
+    namespace = dict(_NAMESPACE_TEMPLATE)
+    exec(code, namespace)
+    fn = namespace["f"]
+    if len(_CODE_MEMO) >= CODE_MEMO_LIMIT:
+        _CODE_MEMO.clear()
+    _CODE_MEMO[source] = fn
+    return fn
+
+
+def _is_literal(source: str) -> bool:
+    return source[0].isdigit()
+
+
+def _mask(w: Union[int, str]) -> str:
+    return str((1 << w) - 1) if type(w) is int else f"((1 << {w}) - 1)"
+
+
+# --------------------------------------------------------------------------- #
+# the emitter
+# --------------------------------------------------------------------------- #
+
+
+class _Emitter:
+    """Emits one node function: straight-line statements on local ints.
+
+    Expressions lower to statements that leave their result in locals and
+    return an :data:`Operand`.  The emitted code mirrors the interpreter's
+    semantics exactly: both operands of ``&&``/``||`` are evaluated, an
+    untaken ternary branch is not, case labels stop at the first hit, and
+    runtime errors raise the same :class:`SimulationError` messages.
+
+    Procedural bodies keep every blocking-assigned signal in a pair of
+    locals (``v<slot>``/``x<slot>``) initialised from the arrays, so reads
+    see earlier blocking writes while the arrays stay untouched until the
+    caller commits.
     """
-    value = LogicValue.__new__(LogicValue)
-    object.__setattr__(value, "value", v)
-    object.__setattr__(value, "xmask", x)
-    object.__setattr__(value, "width", w)
-    return value
 
-
-# --------------------------------------------------------------------------- #
-# expression compilation
-# --------------------------------------------------------------------------- #
-
-
-class _ExprCompiler:
-    """Lowers expression trees to closures over the flat signal arrays."""
-
-    def __init__(self, design: ElaboratedDesign, slots: dict[str, int]):
-        self._design = design
+    def __init__(self, slots: dict[str, int], widths: list[int], parameters: Mapping[str, int]):
         self._slots = slots
-        self._parameters = design.parameters
+        self._widths = widths
+        self._parameters = parameters
+        self.lines: list[str] = []
+        self._indent = 1
+        self._temps = 0
+        self._locals: frozenset = frozenset()
+        self._mode = "assign"
 
-    def compile(self, expr: ast.Expression) -> ExprFn:
-        if isinstance(expr, ast.Number):
-            return self._compile_number(expr)
-        if isinstance(expr, ast.Identifier):
-            return self._compile_identifier(expr)
-        if isinstance(expr, ast.Unary):
-            return self._compile_unary(expr)
-        if isinstance(expr, ast.Binary):
-            return self._compile_binary(expr)
-        if isinstance(expr, ast.Ternary):
-            return self._compile_ternary(expr)
-        if isinstance(expr, ast.BitSelect):
-            return self._compile_bit_select(expr)
-        if isinstance(expr, ast.PartSelect):
-            return self._compile_part_select(expr)
-        if isinstance(expr, ast.Concat):
-            return self._compile_concat(expr)
-        if isinstance(expr, ast.Replicate):
-            return self._compile_replicate(expr)
-        if isinstance(expr, ast.SystemCall):
-            return self._compile_system_call(expr)
-        raise CompileError(f"cannot compile expression of type {type(expr).__name__}")
+    # -- plumbing -------------------------------------------------------- #
 
-    # -- leaves --------------------------------------------------------- #
+    def _line(self, text: str) -> None:
+        self.lines.append("    " * self._indent + text)
 
-    def _compile_number(self, expr: ast.Number) -> ExprFn:
-        w = expr.width if expr.width is not None else 32
-        m = (1 << w) - 1
-        x = expr.xz_mask & m
-        v = expr.value & m & ~x
-        return lambda val, xm: (v, x, w)
+    def _fresh(self) -> str:
+        self._temps += 1
+        return f"t{self._temps}"
 
-    def _compile_identifier(self, expr: ast.Identifier) -> ExprFn:
-        slot = self._slots.get(expr.name)
-        if slot is not None:
-            w = self._design.signals[expr.name].width
-            return lambda val, xm, i=slot, w=w: (val[i], xm[i], w)
-        if expr.name in self._parameters:
-            v = self._parameters[expr.name] & 0xFFFFFFFF
-            return lambda val, xm: (v, 0, 32)
-        raise CompileError(f"unknown signal '{expr.name}'")
+    def _nested(self, emit: Callable[[], object]) -> tuple[list[str], object]:
+        """Run ``emit`` one indentation level deeper; return (its lines, result)."""
+        mark = len(self.lines)
+        self._indent += 1
+        try:
+            result = emit()
+        finally:
+            self._indent -= 1
+        lines = self.lines[mark:]
+        del self.lines[mark:]
+        return lines, result
 
-    # -- operators ------------------------------------------------------ #
+    def _block(self, header: str, lines: list[str]) -> None:
+        self._line(header)
+        self.lines.extend(lines or ["    " * (self._indent + 1) + "pass"])
 
-    def _compile_unary(self, expr: ast.Unary) -> ExprFn:
-        f = self.compile(expr.operand)
-        op = expr.op
-        if op == "+":
-            return f
-        if op == "-":
+    def _max_width(self, a: Union[int, str], b: Union[int, str]) -> Union[int, str]:
+        if type(a) is int and type(b) is int:
+            return a if a >= b else b
+        if a == b:
+            return a
+        t = self._fresh()
+        self._line(f"{t}w = {a} if {a} >= {b} else {b}")
+        return f"{t}w"
 
-            def neg(val, xm):
-                v, x, w = f(val, xm)
-                m = (1 << w) - 1
-                if x:
-                    return (0, m, w)
-                return ((-v) & m, 0, w)
+    def _fold(self, expr: ast.Expression) -> Optional[Operand]:
+        """Constant-fold an expression whose operands are all literals."""
+        try:
+            value = Evaluator({}, self._parameters).evaluate(expr)
+        except (EvalError, ValueError):
+            return None
+        return str(value.value), str(value.xmask), value.width
 
-            return neg
-        if op == "~":
+    def _signal(self, name: str) -> tuple[int, int]:
+        slot = self._slots.get(name)
+        if slot is None:
+            raise CompileError(f"assignment to undeclared signal '{name}'")
+        return slot, self._widths[slot]
 
-            def inv(val, xm):
-                v, x, w = f(val, xm)
-                m = (1 << w) - 1
-                if x:
-                    return (0, m, w)
-                return (~v & m, 0, w)
+    def _read(self, slot: int) -> tuple[str, str]:
+        if slot in self._locals:
+            return f"v{slot}", f"x{slot}"
+        return f"V[{slot}]", f"X[{slot}]"
 
-            return inv
-        if op == "!":
+    # -- expressions ----------------------------------------------------- #
 
-            def lnot(val, xm):
-                v, x, w = f(val, xm)
-                if v:
-                    return (0, 0, 1)
-                if x:
-                    return (0, 1, 1)
-                return (1, 0, 1)
-
-            return lnot
-        if op == "&":
-
-            def red_and(val, xm):
-                v, x, w = f(val, xm)
-                if x:
-                    return (0, 1, 1)
-                return (int(v == (1 << w) - 1), 0, 1)
-
-            return red_and
-        if op == "|":
-
-            def red_or(val, xm):
-                v, x, w = f(val, xm)
-                if x:
-                    return (0, 1, 1)
-                return (int(v != 0), 0, 1)
-
-            return red_or
-        if op == "^":
-
-            def red_xor(val, xm):
-                v, x, w = f(val, xm)
-                if x:
-                    return (0, 1, 1)
-                return (v.bit_count() & 1, 0, 1)
-
-            return red_xor
-        raise CompileError(f"unsupported unary operator '{op}'")
-
-    def _compile_binary(self, expr: ast.Binary) -> ExprFn:
-        lf = self.compile(expr.left)
-        rf = self.compile(expr.right)
-        op = expr.op
-        if op == "&&":
-
-            def land(val, xm):
-                v1, x1, _ = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                if (v1 == 0 and x1 == 0) or (v2 == 0 and x2 == 0):
-                    return (0, 0, 1)
-                if (v1 == 0 and x1) or (v2 == 0 and x2):
-                    return (0, 1, 1)
-                return (1, 0, 1)
-
-            return land
-        if op == "||":
-
-            def lor(val, xm):
-                v1, x1, _ = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                if v1 != 0 or v2 != 0:
-                    return (1, 0, 1)
-                if x1 or x2:
-                    return (0, 1, 1)
-                return (0, 0, 1)
-
-            return lor
-        if op in ("==", "!="):
-            want = op == "=="
-
-            def eq(val, xm):
-                v1, x1, _ = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                if x1 or x2:
-                    return (0, 1, 1)
-                return (int((v1 == v2) == want), 0, 1)
-
-            return eq
-        if op in ("===", "!=="):
-            want = op == "==="
-
-            def ceq(val, xm):
-                v1, x1, _ = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                return (int((v1 == v2 and x1 == x2) == want), 0, 1)
-
-            return ceq
-        if op in ("<", ">", "<=", ">="):
-            cmp = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}[op]
-
-            def rel(val, xm):
-                v1, x1, _ = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                if x1 or x2:
-                    return (0, 1, 1)
-                return (int(cmp(v1, v2)), 0, 1)
-
-            return rel
-        if op in ("<<", "<<<"):
-
-            def shl(val, xm):
-                v1, x1, w1 = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                if x1 or x2:
-                    return (0, (1 << w1) - 1, w1)
-                return ((v1 << min(v2, 1024)) & ((1 << w1) - 1), 0, w1)
-
-            return shl
-        if op in (">>", ">>>"):
-
-            def shr(val, xm):
-                v1, x1, w1 = lf(val, xm)
-                v2, x2, _ = rf(val, xm)
-                if x1 or x2:
-                    return (0, (1 << w1) - 1, w1)
-                return (v1 >> min(v2, 1024), 0, w1)
-
-            return shr
-        arith = self._ARITH.get(op)
-        if arith is None:
-            raise CompileError(f"unsupported binary operator '{op}'")
-
-        def binop(val, xm):
-            v1, x1, w1 = lf(val, xm)
-            v2, x2, w2 = rf(val, xm)
-            w = w1 if w1 >= w2 else w2
+    def expr(self, expr: ast.Expression) -> Operand:
+        kind = type(expr)
+        if kind is ast.Identifier:
+            slot = self._slots.get(expr.name)
+            if slot is not None:
+                return (*self._read(slot), self._widths[slot])
+            if expr.name in self._parameters:
+                return str(self._parameters[expr.name] & 0xFFFFFFFF), "0", 32
+            raise CompileError(f"unknown signal '{expr.name}'")
+        if kind is ast.Number:
+            w = expr.width if expr.width is not None else 32
             m = (1 << w) - 1
-            if x1 or x2:
-                return (0, m, w)
-            r = arith(v1, v2)
-            if r is None:  # division/modulo by zero
-                return (0, m, w)
-            return (r & m, 0, w)
+            x = expr.xz_mask & m
+            return str(expr.value & m & ~x), str(x), w
+        method = self._EXPRESSIONS.get(kind)
+        if method is None:
+            raise CompileError(f"cannot compile expression of type {kind.__name__}")
+        return method(self, expr)
 
-        return binop
+    def _unary(self, expr: ast.Unary) -> Operand:
+        op = expr.op
+        v, x, w = self.expr(expr.operand)
+        if op == "+":
+            return v, x, w
+        if _is_literal(v) and _is_literal(x):
+            folded = self._fold(expr)
+            if folded is not None:
+                return folded
+        t = self._fresh()
+        if op in ("-", "~"):
+            m = _mask(w)
+            self._line(f"if {x}: {t}v = 0; {t}x = {m}")
+            self._line(f"else: {t}v = {op}{v} & {m}; {t}x = 0")
+            return f"{t}v", f"{t}x", w
+        if op == "!":
+            self._line(f"if {v}: {t}v = 0; {t}x = 0")
+            self._line(f"elif {x}: {t}v = 0; {t}x = 1")
+            self._line(f"else: {t}v = 1; {t}x = 0")
+            return f"{t}v", f"{t}x", 1
+        if op == "&":
+            known = f"1 if {v} == {_mask(w)} else 0"
+        elif op == "|":
+            known = f"1 if {v} else 0"
+        elif op == "^":
+            known = f"({v}).bit_count() & 1"
+        else:
+            raise CompileError(f"unsupported unary operator '{op}'")
+        self._line(f"if {x}: {t}v = 0; {t}x = 1")
+        self._line(f"else: {t}v = {known}; {t}x = 0")
+        return f"{t}v", f"{t}x", 1
 
     _ARITH = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "/": lambda a, b: a // b if b else None,
-        "%": lambda a, b: a % b if b else None,
-        "**": lambda a, b: a ** min(b, 64),
-        "&": lambda a, b: a & b,
-        "|": lambda a, b: a | b,
-        "^": lambda a, b: a ^ b,
-        "~^": lambda a, b: ~(a ^ b),
-        "^~": lambda a, b: ~(a ^ b),
+        "+": "{a} + {b}",
+        "-": "{a} - {b}",
+        "*": "{a} * {b}",
+        "/": "{a} // {b}",
+        "%": "{a} % {b}",
+        "**": "{a} ** ({b} if {b} < 64 else 64)",
+        "&": "{a} & {b}",
+        "|": "{a} | {b}",
+        "^": "{a} ^ {b}",
+        "~^": "~({a} ^ {b})",
+        "^~": "~({a} ^ {b})",
     }
+    _RELATIONAL = {"==": "==", "!=": "!=", "<": "<", ">": ">", "<=": "<=", ">=": ">="}
 
-    def _compile_ternary(self, expr: ast.Ternary) -> ExprFn:
-        cf = self.compile(expr.condition)
-        tf = self.compile(expr.if_true)
-        ff = self.compile(expr.if_false)
+    def _binary(self, expr: ast.Binary) -> Operand:
+        op = expr.op
+        v1, x1, w1 = self.expr(expr.left)
+        v2, x2, w2 = self.expr(expr.right)
+        if _is_literal(v1) and _is_literal(x1) and _is_literal(v2) and _is_literal(x2):
+            folded = self._fold(expr)
+            if folded is not None:
+                return folded
+        t = self._fresh()
+        line = self._line
+        if op == "&&":
+            line(f"if (not {v1} and not {x1}) or (not {v2} and not {x2}): {t}v = 0; {t}x = 0")
+            line(f"elif not {v1} or not {v2}: {t}v = 0; {t}x = 1")
+            line(f"else: {t}v = 1; {t}x = 0")
+            return f"{t}v", f"{t}x", 1
+        if op == "||":
+            line(f"if {v1} or {v2}: {t}v = 1; {t}x = 0")
+            line(f"elif {x1} or {x2}: {t}v = 0; {t}x = 1")
+            line(f"else: {t}v = 0; {t}x = 0")
+            return f"{t}v", f"{t}x", 1
+        if op in ("===", "!=="):
+            hit, miss = (1, 0) if op == "===" else (0, 1)
+            line(f"{t}v = {hit} if {v1} == {v2} and {x1} == {x2} else {miss}")
+            return f"{t}v", "0", 1
+        cmp = self._RELATIONAL.get(op)
+        if cmp is not None:
+            line(f"if {x1} or {x2}: {t}v = 0; {t}x = 1")
+            line(f"else: {t}v = 1 if {v1} {cmp} {v2} else 0; {t}x = 0")
+            return f"{t}v", f"{t}x", 1
+        if op in ("<<", "<<<", ">>", ">>>"):
+            amount = str(min(int(v2), 1024)) if _is_literal(v2) else f"({v2} if {v2} < 1024 else 1024)"
+            m1 = _mask(w1)
+            shifted = f"({v1} << {amount}) & {m1}" if op in ("<<", "<<<") else f"{v1} >> {amount}"
+            line(f"if {x1} or {x2}: {t}v = 0; {t}x = {m1}")
+            line(f"else: {t}v = {shifted}; {t}x = 0")
+            return f"{t}v", f"{t}x", w1
+        template = self._ARITH.get(op)
+        if template is None:
+            raise CompileError(f"unsupported binary operator '{op}'")
+        w = self._max_width(w1, w2)
+        m = _mask(w)
+        unknown = f"{x1} or {x2} or not {v2}" if op in ("/", "%") else f"{x1} or {x2}"
+        line(f"if {unknown}: {t}v = 0; {t}x = {m}")
+        line(f"else: {t}v = ({template.format(a=v1, b=v2)}) & {m}; {t}x = 0")
+        return f"{t}v", f"{t}x", w
 
-        def tern(val, xm):
-            cv, cx, _ = cf(val, xm)
-            if cv:
-                return tf(val, xm)
-            if not cx:
-                return ff(val, xm)
-            tv, tx, tw = tf(val, xm)
-            fv, fx, fw = ff(val, xm)
-            w = tw if tw >= fw else fw
-            if tx == 0 and fx == 0 and tv == fv:
-                return (tv, 0, w)
-            return (0, (1 << w) - 1, w)
+    def _ternary(self, expr: ast.Ternary) -> Operand:
+        cv, cx, _ = self.expr(expr.condition)
+        if _is_literal(cv) and _is_literal(cx):
+            if int(cv):
+                return self.expr(expr.if_true)
+            if not int(cx):
+                return self.expr(expr.if_false)
+        # Each branch is emitted once, guarded by when it is needed: the
+        # true branch unless the condition is known false, the false branch
+        # unless it is known true (an x condition evaluates both, in order).
+        true_lines, (tv, tx, tw) = self._nested(lambda: self.expr(expr.if_true))
+        false_lines, (fv, fx, fw) = self._nested(lambda: self.expr(expr.if_false))
+        if true_lines:
+            self._block(f"if {cv} or {cx}:", true_lines)
+        if false_lines:
+            self._block(f"if not {cv}:", false_lines)
+        t = self._fresh()
+        if tw == fw:
+            w: Union[int, str] = tw
+            set_t = set_f = set_w = ""
+            mask = _mask(w)
+        else:
+            w = f"{t}w"
+            set_t, set_f = f"; {w} = {tw}", f"; {w} = {fw}"
+            set_w = f"{w} = {tw} if {tw} >= {fw} else {fw}; "
+            mask = _mask(w)
+        self._line(f"if {cv}: {t}v = {tv}; {t}x = {tx}{set_t}")
+        self._line(f"elif not {cx}: {t}v = {fv}; {t}x = {fx}{set_f}")
+        self._line(
+            f"elif {tx} == 0 and {fx} == 0 and {tv} == {fv}: {set_w}{t}v = {tv}; {t}x = 0"
+        )
+        self._line(f"else: {set_w}{t}v = 0; {t}x = {mask}")
+        return f"{t}v", f"{t}x", w
 
-        return tern
+    def _bit_select(self, expr: ast.BitSelect) -> Operand:
+        bv, bx, bw = self.expr(expr.base)
+        iv, ix, _ = self.expr(expr.index)
+        t = self._fresh()
+        if _is_literal(iv) and _is_literal(ix) and type(bw) is int:
+            index = int(iv)
+            if int(ix) or index >= bw:
+                return "0", "1", 1
+            self._line(f"{t}v = ({bv} >> {index}) & 1; {t}x = ({bx} >> {index}) & 1")
+            return f"{t}v", f"{t}x", 1
+        self._line(f"if {ix} or {iv} >= {bw}: {t}v = 0; {t}x = 1")
+        self._line(f"else: {t}v = ({bv} >> {iv}) & 1; {t}x = ({bx} >> {iv}) & 1")
+        return f"{t}v", f"{t}x", 1
 
-    def _compile_bit_select(self, expr: ast.BitSelect) -> ExprFn:
-        bf = self.compile(expr.base)
-        idf = self.compile(expr.index)
+    def _part_select(self, expr: ast.PartSelect) -> Operand:
+        bv, bx, bw = self.expr(expr.base)
+        mv, mx, _ = self.expr(expr.msb)
+        lv, lx, _ = self.expr(expr.lsb)
+        t = self._fresh()
+        if not all(_is_literal(s) for s in (mv, mx, lv, lx)) or type(bw) is not int:
+            self._line(f"{t}v, {t}x, {t}w = psel({bv}, {bx}, {bw}, {mv}, {mx}, {lv}, {lx})")
+            return f"{t}v", f"{t}x", f"{t}w"
+        if int(mx) or int(lx):
+            return "0", str((1 << bw) - 1), bw
+        msb, lsb = int(mv), int(lv)
+        if msb < lsb:
+            self._line(f"psel(0, 0, 1, {msb}, 0, {lsb}, 0)")  # raises "invalid slice"
+            return "0", "0", 1
+        w = msb - lsb + 1
+        m = (1 << w) - 1
+        if lsb >= bw:
+            return "0", str(m), w
+        extra = ((1 << (msb - bw + 1)) - 1) << (bw - lsb) if msb >= bw else 0
+        xm = f"(({bx} >> {lsb}) | {extra}) & {m}" if extra else f"({bx} >> {lsb}) & {m}"
+        self._line(f"{t}x = {xm}; {t}v = ({bv} >> {lsb}) & {m} & ~{t}x")
+        return f"{t}v", f"{t}x", w
 
-        def bitsel(val, xm):
-            bv, bx, bw = bf(val, xm)
-            iv, ix, _ = idf(val, xm)
-            if ix or iv >= bw:
-                return (0, 1, 1)
-            return ((bv >> iv) & 1, (bx >> iv) & 1, 1)
+    def _concat(self, expr: ast.Concat) -> Operand:
+        parts = [self.expr(part) for part in expr.parts]
+        t = self._fresh()
+        if all(type(pw) is int for _, _, pw in parts):
+            vterms: list[str] = []
+            xterms: list[str] = []
+            shift = 0
+            for pv, px, pw in reversed(parts):
+                vterms.append(f"({pv} << {shift})" if shift else pv)
+                xterms.append(f"({px} << {shift})" if shift else px)
+                shift += pw
+            self._line(f"{t}v = {' | '.join(vterms)}; {t}x = {' | '.join(xterms)}")
+            return f"{t}v", f"{t}x", max(shift, 1)
+        self._line(f"{t}v = 0; {t}x = 0; {t}w = 0")
+        for pv, px, pw in parts:
+            self._line(f"{t}v = ({t}v << {pw}) | {pv}; {t}x = ({t}x << {pw}) | {px}; {t}w += {pw}")
+        self._line(f"if {t}w < 1: {t}w = 1")
+        return f"{t}v", f"{t}x", f"{t}w"
 
-        return bitsel
+    def _replicate(self, expr: ast.Replicate) -> Operand:
+        cv, cx, _ = self.expr(expr.count)
+        if _is_literal(cv) and _is_literal(cx):
+            if int(cx) or int(cv) < 1:
+                self._line(f"rerr({1 if int(cx) else 0})")
+                return "0", "0", 1
+        else:
+            self._line(f"if {cx}: rerr(1)")
+            self._line(f"if {cv} < 1: rerr(0)")
+        pv, px, pw = self.expr(expr.value)
+        t = self._fresh()
+        if _is_literal(cv) and type(pw) is int and pw > 0:
+            count = int(cv)
+            # {n{v}} == v * (1 + 2**pw + 2**(2*pw) + ...): one multiply.
+            spread = ((1 << (pw * count)) - 1) // ((1 << pw) - 1)
+            self._line(f"{t}v = {pv} * {spread}; {t}x = {px} * {spread}")
+            return f"{t}v", f"{t}x", max(pw * count, 1)
+        self._line(f"{t}v, {t}x, {t}w = rep({pv}, {px}, {pw}, {cv})")
+        return f"{t}v", f"{t}x", f"{t}w"
 
-    def _compile_part_select(self, expr: ast.PartSelect) -> ExprFn:
-        bf = self.compile(expr.base)
-        mf = self.compile(expr.msb)
-        lf = self.compile(expr.lsb)
-
-        def partsel(val, xm):
-            bv, bx, bw = bf(val, xm)
-            mv, mx, _ = mf(val, xm)
-            lv, lx, _ = lf(val, xm)
-            if mx or lx:
-                return (0, (1 << bw) - 1, bw)
-            if mv < lv:
-                raise SimulationError(f"invalid slice [{mv}:{lv}]")
-            w = mv - lv + 1
-            m = (1 << w) - 1
-            if lv >= bw:
-                return (0, m, w)
-            v = bv >> lv
-            x = bx >> lv
-            if mv >= bw:
-                extra = mv - bw + 1
-                x |= ((1 << extra) - 1) << (bw - lv)
-            x &= m
-            return (v & m & ~x, x, w)
-
-        return partsel
-
-    def _compile_concat(self, expr: ast.Concat) -> ExprFn:
-        fns = [self.compile(part) for part in expr.parts]
-
-        def cat(val, xm):
-            v = 0
-            x = 0
-            tw = 0
-            for f in fns:
-                pv, px, pw = f(val, xm)
-                v = (v << pw) | pv
-                x = (x << pw) | px
-                tw += pw
-            return (v, x, max(tw, 1))
-
-        return cat
-
-    def _compile_replicate(self, expr: ast.Replicate) -> ExprFn:
-        cf = self.compile(expr.count)
-        vf = self.compile(expr.value)
-
-        def rep(val, xm):
-            cv, cx, _ = cf(val, xm)
-            if cx:
-                raise SimulationError("replication count is unknown")
-            if cv < 1:
-                raise SimulationError("replication count must be >= 1")
-            pv, px, pw = vf(val, xm)
-            v = 0
-            x = 0
-            for _ in range(cv):
-                v = (v << pw) | pv
-                x = (x << pw) | px
-            return (v, x, max(pw * cv, 1))
-
-        return rep
-
-    def _compile_system_call(self, expr: ast.SystemCall) -> ExprFn:
+    def _system_call(self, expr: ast.SystemCall) -> Operand:
         name = expr.name
-        if name in ("$signed", "$unsigned"):
-            return self.compile(expr.args[0])
         if not expr.args:
             raise CompileError(f"system function '{name}' without arguments")
-        f = self.compile(expr.args[0])
+        if name in ("$signed", "$unsigned"):
+            return self.expr(expr.args[0])
+        v, x, _ = self.expr(expr.args[0])
+        t = self._fresh()
         if name == "$countones":
-
-            def countones(val, xm):
-                v, x, _ = f(val, xm)
-                if x:
-                    return (0, 0xFFFFFFFF, 32)
-                return (v.bit_count(), 0, 32)
-
-            return countones
+            self._line(f"if {x}: {t}v = 0; {t}x = 4294967295")
+            self._line(f"else: {t}v = ({v}).bit_count(); {t}x = 0")
+            return f"{t}v", f"{t}x", 32
         if name in ("$onehot", "$onehot0"):
-            exact = name == "$onehot"
-
-            def onehot(val, xm):
-                v, x, _ = f(val, xm)
-                if x:
-                    return (0, 1, 1)
-                ones = v.bit_count()
-                return (int(ones == 1 if exact else ones <= 1), 0, 1)
-
-            return onehot
+            cmp = "== 1" if name == "$onehot" else "<= 1"
+            self._line(f"if {x}: {t}v = 0; {t}x = 1")
+            self._line(f"else: {t}v = 1 if ({v}).bit_count() {cmp} else 0; {t}x = 0")
+            return f"{t}v", f"{t}x", 1
         if name == "$clog2":
-
-            def clog2(val, xm):
-                v, x, _ = f(val, xm)
-                if x:
-                    return (0, 0xFFFFFFFF, 32)
-                r = 0
-                while (1 << r) < v:
-                    r += 1
-                return (r, 0, 32)
-
-            return clog2
+            self._line(f"if {x}: {t}v = 0; {t}x = 4294967295")
+            self._line(f"else: {t}v = ({v} - 1).bit_length() if {v} > 1 else 0; {t}x = 0")
+            return f"{t}v", f"{t}x", 32
         # Sampled-value functions ($past, $rose, ...) only appear inside
         # assertions, which the simulator never executes (the SVA checker
         # lowers them itself, in repro.sva.vector).
         raise CompileError(f"unsupported system function '{name}'")
 
+    _EXPRESSIONS = {
+        ast.Unary: _unary,
+        ast.Binary: _binary,
+        ast.Ternary: _ternary,
+        ast.BitSelect: _bit_select,
+        ast.PartSelect: _part_select,
+        ast.Concat: _concat,
+        ast.Replicate: _replicate,
+        ast.SystemCall: _system_call,
+    }
 
-# --------------------------------------------------------------------------- #
-# statement compilation
-# --------------------------------------------------------------------------- #
+    # -- assignment targets ---------------------------------------------- #
 
+    def _resized(self, v: str, x: str, w: Union[int, str], width: int) -> tuple[str, str]:
+        """An operand truncated to a ``width``-bit signal: (value, xmask) atoms."""
+        if x == "0" and type(w) is int and w <= width:
+            return v, "0"
+        t = self._fresh()
+        sm = (1 << width) - 1
+        if x == "0":
+            self._line(f"{t}v = {v} & {sm}")
+            return f"{t}v", "0"
+        fits = type(w) is int and w <= width  # operands never exceed their width
+        value = f"{v} & ~{t}x" if fits else f"{v} & {sm} & ~{t}x"
+        self._line(f"{t}x = {x}" + ("" if fits else f" & {sm}") + f"; {t}v = {value}")
+        return f"{t}v", f"{t}x"
 
-class _StmtCompiler:
-    """Lowers procedural statements to closures over a working environment.
-
-    The working environment is a pair of mutable arrays (``lv``, ``lx``)
-    that starts as a copy of the global state.  Blocking assignments update
-    it immediately (and are recorded in ``blocking``); non-blocking
-    assignments are recorded in ``nba`` for the caller to commit, matching
-    :class:`~repro.sim.executor.StatementExecutor` semantics.
-    """
-
-    def __init__(self, design: ElaboratedDesign, slots: dict[str, int], expr: _ExprCompiler):
-        self._design = design
-        self._slots = slots
-        self._expr = expr
-
-    def compile_body(self, statement: ast.Statement) -> list[StmtFn]:
-        fns: list[StmtFn] = []
-        self._compile_into(statement, fns)
-        return fns
-
-    def _compile_into(self, statement: ast.Statement, out: list[StmtFn]) -> None:
-        if isinstance(statement, ast.Block):
-            for sub in statement.statements:
-                self._compile_into(sub, out)
-        elif isinstance(statement, ast.Assign):
-            out.append(self._compile_assign(statement))
-        elif isinstance(statement, ast.If):
-            out.append(self._compile_if(statement))
-        elif isinstance(statement, ast.Case):
-            out.append(self._compile_case(statement))
-        elif isinstance(statement, (ast.SystemTaskCall, ast.NullStatement)):
-            return
-        else:
-            raise CompileError(f"cannot compile statement {type(statement).__name__}")
-
-    def _signal_slot(self, name: str) -> tuple[int, int]:
-        """(slot, mask) of a signal; CompileError when undeclared."""
-        slot = self._slots.get(name)
-        if slot is None:
-            raise CompileError(f"assignment to undeclared signal '{name}'")
-        width = self._design.signals[name].width
-        return slot, (1 << width) - 1
-
-    def _compile_assign(self, statement: ast.Assign) -> StmtFn:
-        vf = self._expr.compile(statement.value)
-        blocking = statement.blocking
-        target = statement.target
+    def _targets(self, target: ast.Expression, v: str, x: str, w) -> list[tuple[int, str, str]]:
+        """(slot, value, xmask) writes of one assignment, in application order."""
         if isinstance(target, ast.Identifier):
-            slot, sm = self._signal_slot(target.name)
-
-            def assign_id(lv, lx, blk, nba, vf=vf, slot=slot, sm=sm):
-                v, x, _ = vf(lv, lx)
-                nx = x & sm
-                nv = v & sm & ~nx
-                if blocking:
-                    lv[slot] = nv
-                    lx[slot] = nx
-                    blk[slot] = (nv, nx)
-                else:
-                    nba[slot] = (nv, nx)
-
-            return assign_id
+            slot, width = self._signal(target.name)
+            return [(slot, *self._resized(v, x, w, width))]
         if isinstance(target, (ast.BitSelect, ast.PartSelect)):
-            base, msb_expr, lsb_expr = _select_target_parts(target)
-            slot, sm = self._signal_slot(base.name)
-            mf = self._expr.compile(msb_expr)
-            lf = self._expr.compile(lsb_expr)
-
-            def assign_select(lv, lx, blk, nba):
-                v, x, _ = vf(lv, lx)
-                mv, mx, _ = mf(lv, lx)
-                sv, sx, _ = lf(lv, lx)
-                if mx or sx:
-                    nv, nx = 0, sm
-                else:
-                    nv, nx = _merge_select_write(lv[slot], lx[slot], v, x, mv, sv, sm)
-                if blocking:
-                    lv[slot] = nv
-                    lx[slot] = nx
-                    blk[slot] = (nv, nx)
-                else:
-                    nba[slot] = (nv, nx)
-
-            return assign_select
+            if isinstance(target, ast.BitSelect):
+                base, msb_expr, lsb_expr = target.base, target.index, target.index
+            else:
+                base, msb_expr, lsb_expr = target.base, target.msb, target.lsb
+            if not isinstance(base, ast.Identifier):
+                raise CompileError("nested select targets are not supported")
+            slot, width = self._signal(base.name)
+            sm = (1 << width) - 1
+            mv, mx, _ = self.expr(msb_expr)
+            lv, lx, _ = self.expr(lsb_expr)
+            cur_v, cur_x = self._read(slot)
+            t = self._fresh()
+            if all(_is_literal(s) for s in (mv, mx, lv, lx)):
+                msb, lsb = int(mv), int(lv)
+                if int(mx) or int(lx):
+                    return [(slot, "0", str(sm))]
+                if msb < lsb:
+                    self._line(f"msw(0, 0, 0, 0, {msb}, {lsb}, 0)")
+                    return []
+                low = (1 << (msb - lsb + 1)) - 1
+                field = (low << lsb) & sm
+                keep = sm & ~(low << lsb)
+                self._line(f"{t}x = ({cur_x} & {keep}) | ((({x}) & {low}) << {lsb}) & {field}")
+                self._line(
+                    f"{t}v = (({cur_v} & {keep}) | ((({v}) & {low}) << {lsb}) & {field}) & ~{t}x"
+                )
+            else:
+                self._line(f"if {mx} or {lx}: {t}v = 0; {t}x = {sm}")
+                self._line(
+                    f"else: {t}v, {t}x = msw({cur_v}, {cur_x}, {v}, {x}, {mv}, {lv}, {sm})"
+                )
+            return [(slot, f"{t}v", f"{t}x")]
         if isinstance(target, ast.Concat):
-            # (slot, width, shift) triples, MSB-first like the executor applies them.
             pieces: list[tuple[int, int, int]] = []
             offset = 0
             for part in reversed(target.parts):
                 if not isinstance(part, ast.Identifier):
                     raise CompileError("concatenation targets must be simple identifiers")
-                slot, sm = self._signal_slot(part.name)
-                width = self._design.signals[part.name].width
+                slot, width = self._signal(part.name)
                 pieces.append((slot, width, offset))
                 offset += width
-            pieces.reverse()
-
-            def assign_concat(lv, lx, blk, nba):
-                v, x, _ = vf(lv, lx)
-                for slot, width, shift in pieces:
-                    m = (1 << width) - 1
-                    nx = (x >> shift) & m
-                    nv = (v >> shift) & m & ~nx
-                    if blocking:
-                        lv[slot] = nv
-                        lx[slot] = nx
-                        blk[slot] = (nv, nx)
-                    else:
-                        nba[slot] = (nv, nx)
-
-            return assign_concat
+            writes = []
+            for slot, width, shift in reversed(pieces):
+                t = self._fresh()
+                m = (1 << width) - 1
+                self._line(f"{t}x = ({x} >> {shift}) & {m}; {t}v = ({v} >> {shift}) & {m} & ~{t}x")
+                writes.append((slot, f"{t}v", f"{t}x"))
+            return writes
         raise CompileError(f"unsupported assignment target {type(target).__name__}")
 
-    def _compile_if(self, statement: ast.If) -> StmtFn:
-        cf = self._expr.compile(statement.condition)
-        then_fns = self.compile_body(statement.then_branch)
-        else_fns = (
-            self.compile_body(statement.else_branch)
-            if statement.else_branch is not None
-            else None
+    # -- statements ------------------------------------------------------ #
+
+    def stmt(self, statement: ast.Statement) -> None:
+        if isinstance(statement, ast.Block):
+            for sub in statement.statements:
+                self.stmt(sub)
+        elif isinstance(statement, ast.Assign):
+            v, x, w = self.expr(statement.value)
+            for slot, nv, nx in self._targets(statement.target, v, x, w):
+                if statement.blocking:
+                    # Every blocking target is a local (see _procedural).
+                    self._line(f"v{slot} = {nv}; x{slot} = {nx}")
+                    if self._mode == "proc":
+                        self._line(f"B[{slot}] = (v{slot}, x{slot})")
+                elif self._mode == "proc":
+                    self._line(f"N[{slot}] = ({nv}, {nx})")
+                else:
+                    self._line(f"n{slot} = ({nv}, {nx})")
+        elif isinstance(statement, ast.If):
+            self._if(statement)
+        elif isinstance(statement, ast.Case):
+            self._case(statement)
+        elif not isinstance(statement, (ast.SystemTaskCall, ast.NullStatement)):
+            raise CompileError(f"cannot compile statement {type(statement).__name__}")
+
+    def _if(self, statement: ast.If) -> None:
+        cv, cx, _ = self.expr(statement.condition)
+        if _is_literal(cv) and _is_literal(cx):
+            if int(cv):
+                self.stmt(statement.then_branch)
+            elif not int(cx) and statement.else_branch is not None:
+                self.stmt(statement.else_branch)
+            return
+        then_lines, _ = self._nested(lambda: self.stmt(statement.then_branch))
+        self._block(f"if {cv}:", then_lines)
+        # Unknown condition: conservatively take neither branch.
+        if statement.else_branch is not None:
+            else_lines, _ = self._nested(lambda: self.stmt(statement.else_branch))
+            self._block(f"elif not {cx}:", else_lines)
+
+    def _label_hit(self, variant: str, sv: str, sx: str, sw, label: Operand) -> str:
+        lv, lx, lw = label
+        if variant == "case":
+            if lx == "0":
+                return f"not {sx} and {sv} == {lv}"
+            return f"(({sx} == {lx} and {sv} == {lv}) if {sx} or {lx} else {sv} == {lv})"
+        w = self._max_width(sw, lw)
+        care = str(~int(lx) & ((1 << w) - 1)) if type(w) is int and _is_literal(lx) else (
+            f"(~{lx} & {_mask(w)})"
         )
+        if variant == "casex":
+            care = f"{care} & ~{sx}"
+        return f"({sv} & {care}) == ({lv} & {care})"
 
-        def if_stmt(lv, lx, blk, nba):
-            cv, cx, _ = cf(lv, lx)
-            if cv:
-                for fn in then_fns:
-                    fn(lv, lx, blk, nba)
-            elif cx == 0 and else_fns is not None:
-                for fn in else_fns:
-                    fn(lv, lx, blk, nba)
-            # Unknown condition: conservatively take neither branch.
-
-        return if_stmt
-
-    def _compile_case(self, statement: ast.Case) -> StmtFn:
-        sf = self._expr.compile(statement.subject)
-        variant = statement.variant
-        items: list[tuple[list[ExprFn], list[StmtFn]]] = []
-        default_fns: Optional[list[StmtFn]] = None
+    def _case(self, statement: ast.Case) -> None:
+        sv, sx, sw = self.expr(statement.subject)
+        default: Optional[ast.Statement] = None
+        arms: list[tuple[list[tuple[list[str], str]], ast.Statement]] = []
         for item in statement.items:
             if not item.labels:
-                default_fns = self.compile_body(item.body)
+                default = item.body
                 continue
-            label_fns = [self._expr.compile(label) for label in item.labels]
-            items.append((label_fns, self.compile_body(item.body)))
+            labels = []
+            for label in item.labels:
+                labels.append(self._nested(
+                    lambda label=label: self._label_hit(
+                        statement.variant, sv, sx, sw, self.expr(label)
+                    )
+                ))
+            arms.append((labels, item.body))
+        if all(not lines for labels, _ in arms for lines, _ in labels):
+            # Labels without statements (the usual constants) test inline.
+            conditions = [" or ".join(f"({hit})" for _, hit in labels) for labels, _ in arms]
+        else:
+            # Labels that need statements are evaluated lazily, in order,
+            # until the first hit; the hit arm's number selects the body.
+            h = self._fresh()
+            self._line(f"{h} = 0")
+            for number, (labels, _) in enumerate(arms, start=1):
+                for lines, hit in labels:
+                    self._line(f"if not {h}:")
+                    self.lines.extend(lines)
+                    self._line(f"    if {hit}: {h} = {number}")
+            conditions = [f"{h} == {number}" for number in range(1, len(arms) + 1)]
+        keyword = "if"
+        for condition, (_, body) in zip(conditions, arms):
+            lines, _ = self._nested(lambda body=body: self.stmt(body))
+            self._block(f"{keyword} {condition}:", lines)
+            keyword = "elif"
+        if default is not None and not arms:
+            self.stmt(default)
+        elif default is not None:
+            lines, _ = self._nested(lambda: self.stmt(default))
+            self._block("else:", lines)
 
-        def case_stmt(lv, lx, blk, nba):
-            sv, sx, sw = sf(lv, lx)
-            for label_fns, body_fns in items:
-                for label_fn in label_fns:
-                    labv, labx, labw = label_fn(lv, lx)
-                    w = sw if sw >= labw else labw
-                    if variant == "case":
-                        if sx or labx:
-                            hit = sx == labx and sv == labv
-                        else:
-                            hit = sv == labv
-                    else:
-                        care = ~labx & ((1 << w) - 1)
-                        if variant == "casex":
-                            care &= ~sx
-                        hit = (sv & care) == (labv & care)
-                    if hit:
-                        for fn in body_fns:
-                            fn(lv, lx, blk, nba)
-                        return
-            if default_fns is not None:
-                for fn in default_fns:
-                    fn(lv, lx, blk, nba)
+    # -- whole node functions -------------------------------------------- #
 
-        return case_stmt
+    def assign_function(self, assign: ast.ContinuousAssign) -> str:
+        """``f(V, X, w)``: evaluate, then write only what changed."""
+        v, x, w = self.expr(assign.value)
+        for slot, nv, nx in self._targets(assign.target, v, x, w):
+            self._line(f"if V[{slot}] != {nv} or X[{slot}] != {nx}: w({slot}, {nv}, {nx})")
+        return self._source("V, X, w")
+
+    def comb_function(self, body: ast.Statement) -> str:
+        """``f(V, X, w)``: run the body on locals, then write what changed.
+
+        A blocking target that was not assigned still holds its array value,
+        so comparing every local against the array writes exactly the
+        assigned-and-changed signals; a non-blocking write overrides.
+        """
+        blocking, nonblocking = self._procedural(body, "comb")
+        for slot in nonblocking:
+            self._line(f"n{slot} = None")
+        self.stmt(body)
+        for slot in sorted(blocking | nonblocking):
+            if slot in nonblocking:
+                if slot in blocking:
+                    self._line(f"if n{slot} is not None: v{slot}, x{slot} = n{slot}")
+                else:
+                    self._line(f"if n{slot} is None: v{slot} = V[{slot}]; x{slot} = X[{slot}]")
+                    self._line(f"else: v{slot}, x{slot} = n{slot}")
+            self._line(
+                f"if V[{slot}] != v{slot} or X[{slot}] != x{slot}: w({slot}, v{slot}, x{slot})"
+            )
+        return self._source("V, X, w")
+
+    def proc_function(self, body: ast.Statement) -> str:
+        """``f(V, X, B, N)``: blocking writes into ``B``, non-blocking into ``N``."""
+        self._procedural(body, "proc")
+        self.stmt(body)
+        return self._source("V, X, B, N")
+
+    def _procedural(self, body: ast.Statement, mode: str) -> tuple[frozenset, frozenset]:
+        blocking: set[int] = set()
+        nonblocking: set[int] = set()
+        for node in body.walk():
+            if isinstance(node, ast.Assign):
+                for name in ast._target_names(node.target):
+                    slot = self._slots.get(name)
+                    if slot is not None:
+                        (blocking if node.blocking else nonblocking).add(slot)
+        self._mode = mode
+        self._locals = frozenset(blocking)
+        for slot in sorted(blocking):
+            self._line(f"v{slot} = V[{slot}]; x{slot} = X[{slot}]")
+        return self._locals, frozenset(nonblocking)
+
+    def _source(self, params: str) -> str:
+        body = self.lines or ["    pass"]
+        return f"def f({params}):\n" + "\n".join(body) + "\n"
+
+
+def _emit(design_slots, widths, parameters, build: Callable[[_Emitter], str]) -> Callable:
+    emitter = _Emitter(design_slots, widths, parameters)
+    try:
+        source = build(emitter)
+    except RecursionError as exc:
+        raise CompileError("expression too deep for the code generator") from exc
+    except ValueError as exc:  # an int too wide to spell out as a literal
+        raise CompileError(f"cannot emit a literal: {exc}") from exc
+    return _build_function(source)
 
 
 # --------------------------------------------------------------------------- #
@@ -653,18 +744,17 @@ class _StmtCompiler:
 
 
 class _CompiledBlock:
-    """A procedural block lowered to statement closures plus its trigger edges."""
+    """A procedural block lowered to one function plus its trigger edges."""
 
-    __slots__ = ("stmts", "edges", "line", "pure_nba", "reads")
+    __slots__ = ("fn", "edges", "pure_nba", "reads")
 
-    def __init__(self, stmts: list[StmtFn], edges: list[tuple[str, str]], line: int,
-                 pure_nba: bool, reads: frozenset):
-        self.stmts = stmts
+    def __init__(self, fn: Callable, edges: list[tuple[str, str]], pure_nba: bool,
+                 reads: frozenset):
+        self.fn = fn
         self.edges = edges  # [(signal, "posedge"|"negedge")]
-        self.line = line
         #: True when the body contains no blocking assignment: the block
-        #: never mutates its working environment, so it can safely read the
-        #: live arrays instead of a pre-edge copy.
+        #: never writes ``B``, so a group of such blocks can read the live
+        #: arrays and commit their non-blocking writes together.
         self.pure_nba = pure_nba
         #: Signal names the body reads (conditions, RHS, select indices).
         self.reads = reads
@@ -722,12 +812,12 @@ def _toposort(order: list[int], edges: dict[int, set[int]]) -> list[int]:
 def _relower_incompatibility(
     base: "CompiledDesign", design: ElaboratedDesign
 ) -> Optional[str]:
-    """Why ``base``'s closures cannot be reused for ``design`` (None: they can).
+    """Why ``base``'s node functions cannot be reused for ``design`` (None: they can).
 
-    Reused closures capture slot indices, widths/masks and parameter values
-    as constants, so incremental relowering requires the whole signal table
-    and parameter environment to be identical; anything else falls back to a
-    full recompile (correct, just slower).
+    Emitted functions spell slot indices, widths/masks and parameter values
+    out as constants, so incremental relowering requires the whole signal
+    table and parameter environment to be identical; anything else falls
+    back to a full recompile (correct, just slower).
     """
     names = sorted(design.signals)
     if base.names != names:
@@ -742,12 +832,12 @@ def _relower_incompatibility(
 
 
 class CompiledDesign:
-    """One design lowered to closures, ready to instantiate simulators from.
+    """One design lowered to node functions, ready to instantiate simulators from.
 
     With a ``base`` (a previously compiled, signal-table-identical design --
     in practice the unpatched design a candidate repair mutates), lowering
     is *incremental*: every node whose content key
-    (:mod:`repro.artifacts.canon`) is unchanged reuses the base's closures
+    (:mod:`repro.artifacts.canon`) is unchanged reuses the base's function
     verbatim, and only the dirty cone -- the nodes the patch actually
     touched -- is relowered.  The dependency levels and settle schedule are
     recomputed from the new node graph either way, so an incremental lower
@@ -787,14 +877,14 @@ class CompiledDesign:
         self._assign_index: dict[str, Callable] = {}
         self._comb_index: dict[str, Callable] = {}
         self._seq_index: dict[str, _CompiledBlock] = {}
-        self._init_index: dict[str, list[StmtFn]] = {}
+        self._init_index: dict[str, Callable] = {}
         base_assigns = base._assign_index if base is not None else {}
         base_combs = base._comb_index if base is not None else {}
         base_seqs = base._seq_index if base is not None else {}
         base_inits = base._init_index if base is not None else {}
 
-        expr = _ExprCompiler(design, self.slots)
-        stmt = _StmtCompiler(design, self.slots, expr)
+        def emit(build: Callable[[_Emitter], str]) -> Callable:
+            return _emit(self.slots, self.widths, design.parameters, build)
 
         # -- settle nodes: continuous assigns + comb blocks ------------- #
         raw_nodes: list[tuple[Callable, set[str], set[str]]] = []
@@ -802,7 +892,7 @@ class CompiledDesign:
             key = assign_node_key(assign)
             runner = base_assigns.get(key)
             if runner is None:
-                runner = self._make_assign_runner(assign, expr)
+                runner = emit(lambda e, assign=assign: e.assign_function(assign))
             else:
                 self.relower_nodes_reused += 1
             self._assign_index[key] = runner
@@ -812,7 +902,7 @@ class CompiledDesign:
             key = block_node_key(block)
             runner = base_combs.get(key)
             if runner is None:
-                runner = self._make_comb_runner(stmt.compile_body(block.body))
+                runner = emit(lambda e, block=block: e.comb_function(block.body))
             else:
                 self.relower_nodes_reused += 1
             self._comb_index[key] = runner
@@ -866,17 +956,17 @@ class CompiledDesign:
             key = block_node_key(block)
             compiled = base_seqs.get(key)
             if compiled is None:
-                compiled = self._compile_block(block, stmt)
+                compiled = self._compile_block(block, emit)
             else:
                 self.relower_nodes_reused += 1
             self._seq_index[key] = compiled
             self.seq_blocks.append(compiled)
-        self.initial_bodies: list[list[StmtFn]] = []
+        self.initial_bodies: list[Callable] = []
         for initial in design.initial_blocks:
             key = initial_node_key(initial)
             body = base_inits.get(key)
             if body is None:
-                body = stmt.compile_body(initial.body)
+                body = emit(lambda e, initial=initial: e.proc_function(initial.body))
             else:
                 self.relower_nodes_reused += 1
             self._init_index[key] = body
@@ -898,92 +988,14 @@ class CompiledDesign:
                 self.relower_nodes_total - self.relower_nodes_reused,
             )
 
-    # -- node runners ---------------------------------------------------- #
-
-    def _make_assign_runner(self, assign: ast.ContinuousAssign, expr: _ExprCompiler) -> Callable:
-        vf = expr.compile(assign.value)
-        target = assign.target
-        if isinstance(target, ast.Identifier):
-            slot = self.slots.get(target.name)
-            if slot is None:
-                raise CompileError(f"assignment to undeclared signal '{target.name}'")
-            sm = self.masks[slot]
-
-            def run_id(sim, vf=vf, slot=slot, sm=sm):
-                v, x, _ = vf(sim._val, sim._xm)
-                nx = x & sm
-                sim._write(slot, v & sm & ~nx, nx)
-
-            return run_id
-        if isinstance(target, (ast.BitSelect, ast.PartSelect)):
-            base, msb_expr, lsb_expr = _select_target_parts(target)
-            slot = self.slots.get(base.name)
-            if slot is None:
-                raise CompileError(f"assignment to undeclared signal '{base.name}'")
-            sm = self.masks[slot]
-            mf = expr.compile(msb_expr)
-            lf = expr.compile(lsb_expr)
-
-            def run_select(sim):
-                val, xmv = sim._val, sim._xm
-                v, x, _ = vf(val, xmv)
-                mv, mx, _ = mf(val, xmv)
-                sv, sx, _ = lf(val, xmv)
-                if mx or sx:
-                    sim._write(slot, 0, sm)
-                    return
-                nv, nx = _merge_select_write(val[slot], xmv[slot], v, x, mv, sv, sm)
-                sim._write(slot, nv, nx)
-
-            return run_select
-        if isinstance(target, ast.Concat):
-            pieces: list[tuple[int, int, int]] = []
-            offset = 0
-            for part in reversed(target.parts):
-                if not isinstance(part, ast.Identifier):
-                    raise CompileError("concatenation targets must be simple identifiers")
-                slot = self.slots.get(part.name)
-                if slot is None:
-                    raise CompileError(f"assignment to undeclared signal '{part.name}'")
-                width = self.widths[slot]
-                pieces.append((slot, width, offset))
-                offset += width
-            pieces.reverse()
-
-            def run_concat(sim):
-                v, x, _ = vf(sim._val, sim._xm)
-                for slot, width, shift in pieces:
-                    m = (1 << width) - 1
-                    nx = (x >> shift) & m
-                    sim._write(slot, (v >> shift) & m & ~nx, nx)
-
-            return run_concat
-        raise CompileError(f"unsupported assignment target {type(target).__name__}")
-
-    def _make_comb_runner(self, stmts: list[StmtFn]) -> Callable:
-        def run_comb(sim):
-            lv = sim._val.copy()
-            lx = sim._xm.copy()
-            blocking: dict[int, tuple[int, int]] = {}
-            nba: dict[int, tuple[int, int]] = {}
-            for fn in stmts:
-                fn(lv, lx, blocking, nba)
-            blocking.update(nba)
-            write = sim._write
-            for slot, (v, x) in blocking.items():
-                write(slot, v, x)
-
-        return run_comb
-
-    def _compile_block(self, block: ProceduralBlock, stmt: _StmtCompiler) -> _CompiledBlock:
-        stmts = stmt.compile_body(block.body)
+    @staticmethod
+    def _compile_block(block: ProceduralBlock, emit) -> _CompiledBlock:
+        fn = emit(lambda e: e.proc_function(block.body))
         edges = [(item.signal, item.edge) for item in block.clock_edges()]
         pure_nba = not any(
             isinstance(node, ast.Assign) and node.blocking for node in block.body.walk()
         )
-        return _CompiledBlock(
-            stmts, edges, block.line, pure_nba, frozenset(_block_reads(block.body))
-        )
+        return _CompiledBlock(fn, edges, pure_nba, frozenset(_block_reads(block.body)))
 
 
 def compile_design(
@@ -994,7 +1006,7 @@ def compile_design(
     With ``base`` -- a previously compiled design sharing the same signal
     table and parameters, typically the unpatched design a candidate repair
     mutates -- only the nodes the patch touched are relowered; everything
-    else reuses the base's closures (see :class:`CompiledDesign`).
+    else reuses the base's functions (see :class:`CompiledDesign`).
     """
     return CompiledDesign(design, base=base)
 
@@ -1003,13 +1015,30 @@ def compile_design(
 # the compiled simulator
 # --------------------------------------------------------------------------- #
 
+_NOT_SETTLED = "combinational logic did not settle (possible combinational loop)"
+
+
+def _make_writer(val: list, xm: list, changed: set, readers: list, dirty: list, heap: list):
+    """The write the node functions call for a changed signal: store, log, wake readers."""
+
+    def write(slot: int, v: int, x: int) -> None:
+        val[slot] = v
+        xm[slot] = x
+        changed.add(slot)
+        for nid in readers[slot]:
+            if not dirty[nid]:
+                dirty[nid] = True
+                heappush(heap, nid)
+
+    return write
+
 
 class CompiledSimulator:
     """Drop-in replacement for :class:`~repro.sim.engine.InterpSimulator`.
 
     Same public API and -- by construction plus differential testing -- the
     same cycle-level behaviour, built on the lowered design: flat integer
-    state, dirty-set settling and a diff-based trace.
+    state, dirty-set settling and a per-slot change-event trace.
     """
 
     def __init__(
@@ -1046,15 +1075,15 @@ class CompiledSimulator:
             raise CompileError(f"clock '{self._clock}' is not a 1-bit signal")
 
         # Clock-edge trigger lists mirror InterpSimulator._fire_clock_edge /
-        # _fire_async_edges: posedge/negedge of the active clock fire on
-        # step(); every other edge is an asynchronous trigger.
+        # _fire_async_edges: posedge/negedge of the active clock fire every
+        # cycle; every other edge is an asynchronous trigger.
         self._posedge_blocks: list[_CompiledBlock] = []
         self._negedge_blocks: list[_CompiledBlock] = []
         self._async_slots: list[int] = []
         async_index: dict[int, int] = {}
-        self._async_triggers: list[tuple[_CompiledBlock, list[tuple[int, str]]]] = []
+        self._async_triggers: list[tuple[_CompiledBlock, list[tuple[int, bool]]]] = []
         for block in c.seq_blocks:
-            triggers: list[tuple[int, str]] = []
+            triggers: list[tuple[int, bool]] = []
             for signal, edge in block.edges:
                 if signal == self._clock:
                     if edge == "posedge":
@@ -1068,7 +1097,7 @@ class CompiledSimulator:
                 if slot not in async_index:
                     async_index[slot] = len(self._async_slots)
                     self._async_slots.append(slot)
-                triggers.append((async_index[slot], edge))
+                triggers.append((async_index[slot], edge == "negedge"))
             if triggers:
                 self._async_triggers.append((block, triggers))
 
@@ -1079,12 +1108,13 @@ class CompiledSimulator:
         self._dirty: list[bool] = [False] * len(self._nodes)
         self._heap: list[int] = []
         self._budget = _MAX_SETTLE_ITERATIONS * max(1, len(self._nodes))
-        self._rec_changed: set[int] = set()
-        self._input_lookup: dict[str, tuple[int, int]] = {}
+        self._changed: set[int] = set()
+        self._write = _make_writer(
+            self._val, self._xm, self._changed, self._readers, self._dirty, self._heap
+        )
+        self._input_lookup: dict[str, tuple[int, int, list[int]]] = {}
         self._prev_async_v: list[int] = [0] * len(self._async_slots)
         self._prev_async_x: list[int] = [0] * len(self._async_slots)
-        self._posedge_pure = all(block.pure_nba for block in self._posedge_blocks)
-        self._negedge_pure = all(block.pure_nba for block in self._negedge_blocks)
         # The 0->1->0 clock pulse is unobservable (and therefore skippable)
         # when no combinational node and no clocked block reads the clock
         # signal itself; the per-cycle check on the current value keeps a
@@ -1097,16 +1127,10 @@ class CompiledSimulator:
         self._initialise_state()
         self._shadow_v: list[int] = self._val.copy()
         self._shadow_x: list[int] = self._xm.copy()
-        self._rec_changed.clear()
-        base = {
-            self._names[i]: LogicValue(
-                value=self._val[i], xmask=self._xm[i], width=self._sig_width[i]
-            )
-            for i in range(n)
-        }
-        self._trace = DiffTrace(signals=sorted(design.signals), base=base)
-        if self._options.record_columns:
-            self._trace.enable_column_recording()
+        self._changed.clear()
+        self._trace = DiffTrace(
+            sorted(design.signals), self._names, self._sig_width, self._val, self._xm
+        )
 
     # ------------------------------------------------------------------ #
     # public API (mirrors InterpSimulator)
@@ -1146,253 +1170,227 @@ class CompiledSimulator:
 
     def step(self, inputs: Optional[Mapping[str, int]] = None) -> TraceSample:
         """Simulate one full clock cycle with the given input values."""
-        self._step(inputs or {})
+        self.run([inputs or {}])
         return self._trace[self._cycle - 1]
 
     def run(self, stimulus: list) -> DiffTrace:
-        """Run one step per entry of ``stimulus`` and return the (diff) trace.
+        """Run one clock cycle per entry of ``stimulus``; return the (event) trace.
 
-        Unlike :meth:`step` this never materialises trace samples, so a run
-        whose trace is only partially inspected stays cheap.
+        The whole stimulus runs in this one frame: inputs, settling,
+        asynchronous edges, the clock edge and recording are inlined, so a
+        cycle costs no simulator method calls on the common path.  Samples
+        are never materialised here, so a run whose trace is only read as
+        columns stays cheap.
         """
-        step = self._step
-        for inputs in stimulus:
-            step(inputs)
-        return self._trace
+        val = self._val
+        xm = self._xm
+        changed = self._changed
+        dirty = self._dirty
+        heap = self._heap
+        nodes = self._nodes
+        write = self._write
+        budget = self._budget
+        lookup = self._input_lookup
+        shadow_v = self._shadow_v
+        shadow_x = self._shadow_x
+        trace = self._trace
+        halves = trace.event_halves
+        values = trace.event_values
+        xmasks = trace.event_xmasks
+        async_slots = self._async_slots
+        async_triggers = self._async_triggers
+        prev_v = self._prev_async_v
+        prev_x = self._prev_async_x
+        clock = self._clock_slot
+        observable = self._clock_pulse_observable
+        # Idiomatic RTL (posedge blocks with only non-blocking writes, no
+        # negedge blocks) commits its registers right here.
+        fast_edge = not self._negedge_blocks and all(
+            block.pure_nba for block in self._posedge_blocks
+        )
+        posedge = [block.fn for block in self._posedge_blocks]
+        cycle = self._cycle
+        try:
+            for inputs in stimulus:
+                for i, slot in enumerate(async_slots):
+                    prev_v[i] = val[slot]
+                    prev_x[i] = xm[slot]
+                for name, value in inputs.items():
+                    entry = lookup.get(name)
+                    if entry is None:
+                        entry = self._input_entry(name)
+                    slot, m, wake = entry
+                    if type(value) is int:
+                        v = value & m
+                        x = 0
+                    elif isinstance(value, LogicValue):
+                        x = value.xmask & m
+                        v = value.value & m & ~x
+                    else:
+                        v = int(value) & m
+                        x = 0
+                    if val[slot] != v or xm[slot] != x:
+                        val[slot] = v
+                        xm[slot] = x
+                        changed.add(slot)
+                        # Readers, plus any combinational driver of the
+                        # signal: in the interpreter's fixed-point settle
+                        # the driver always wins over the forced value.
+                        for nid in wake:
+                            if not dirty[nid]:
+                                dirty[nid] = True
+                                heappush(heap, nid)
+                # A pre-edge change is sampled from its own cycle on (half
+                # 2c); a post-edge change is first sampled at c + 1 (2c + 1).
+                half = cycle + cycle
+                for after_edge in (False, True):
+                    if after_edge and fast_edge:
+                        toggle = observable or val[clock] != 0
+                        if toggle and (val[clock] != 1 or xm[clock]):
+                            write(clock, 1, 0)
+                        nonblocking: dict = {}
+                        for fn in posedge:
+                            fn(val, xm, nonblocking, nonblocking)
+                        for slot, (v, x) in nonblocking.items():
+                            if val[slot] != v or xm[slot] != x:
+                                write(slot, v, x)
+                        if toggle and (val[clock] or xm[clock]):
+                            write(clock, 0, 0)
+                    elif after_edge:
+                        self._fire_clock_edge()
+                    execs = 0
+                    while heap:
+                        nid = heappop(heap)
+                        if dirty[nid]:
+                            dirty[nid] = False
+                            execs += 1
+                            if execs > budget:
+                                raise SimulationError(_NOT_SETTLED)
+                            nodes[nid](val, xm, write)
+                    if async_triggers and not after_edge:
+                        triggered = []
+                        for block, triggers in async_triggers:
+                            for index, negedge in triggers:
+                                slot = async_slots[index]
+                                if prev_x[index] or xm[slot]:
+                                    continue
+                                before = prev_v[index] & 1
+                                if before != val[slot] & 1 and before == negedge:
+                                    triggered.append(block)
+                                    break
+                        if triggered:
+                            self._run_blocks(triggered)
+                            self._settle()
+                    if changed:
+                        for slot in changed:
+                            v = val[slot]
+                            x = xm[slot]
+                            if shadow_v[slot] != v or shadow_x[slot] != x:
+                                shadow_v[slot] = v
+                                shadow_x[slot] = x
+                                halves[slot].append(half)
+                                values[slot].append(v)
+                                xmasks[slot].append(x)
+                        changed.clear()
+                    half += 1
+                cycle += 1
+        finally:
+            if cycle != self._cycle:
+                self._cycle = cycle
+                trace._extend_to(cycle)
+        return trace
+
+    def _input_entry(self, name: str) -> tuple[int, int, list[int]]:
+        """(slot, mask, nodes to wake) of a stimulus signal, resolved once."""
+        if name not in self._design.signals:
+            raise SimulationError(f"unknown input signal '{name}'")
+        slot = self._slots[name]
+        wake = list(self._readers[slot])
+        wake.extend(nid for nid in self._writer_nodes[slot] if nid not in wake)
+        entry = self._input_lookup[name] = (slot, self._sig_mask[slot], wake)
+        return entry
 
     # ------------------------------------------------------------------ #
-    # initialisation
+    # initialisation and the less common phases
     # ------------------------------------------------------------------ #
 
     def _initialise_state(self) -> None:
+        val = self._val
+        xm = self._xm
         x_init = self._options.x_initial_state
         design_signals = self._design.signals
         for i, name in enumerate(self._names):
             signal = design_signals.get(name)
             if x_init and signal is not None and not signal.is_input:
-                self._val[i] = 0
-                self._xm[i] = self._sig_mask[i]
-        for stmts in self._compiled.initial_bodies:
-            nba: dict[int, tuple[int, int]] = {}
-            for fn in stmts:
-                fn(self._val, self._xm, {}, nba)
-            for slot, (v, x) in nba.items():
-                self._val[slot] = v
-                self._xm[slot] = x
+                val[i] = 0
+                xm[i] = self._sig_mask[i]
+        for fn in self._compiled.initial_bodies:
+            blocking: dict[int, tuple[int, int]] = {}
+            nonblocking: dict[int, tuple[int, int]] = {}
+            fn(val, xm, blocking, nonblocking)
+            blocking.update(nonblocking)
+            for slot, (v, x) in blocking.items():
+                val[slot] = v
+                xm[slot] = x
         # Everything is potentially stale: settle the whole design once.
-        self._heap = list(range(len(self._nodes)))
+        self._heap[:] = range(len(self._nodes))
         for nid in self._heap:
             self._dirty[nid] = True
         heapify(self._heap)
         self._settle()
 
-    # ------------------------------------------------------------------ #
-    # simulation phases
-    # ------------------------------------------------------------------ #
-
-    def _write(self, slot: int, v: int, x: int) -> None:
-        if self._val[slot] == v and self._xm[slot] == x:
-            return
-        self._val[slot] = v
-        self._xm[slot] = x
-        self._rec_changed.add(slot)
-        dirty = self._dirty
-        heap = self._heap
-        for nid in self._readers[slot]:
-            if not dirty[nid]:
-                dirty[nid] = True
-                heappush(heap, nid)
-
     def _settle(self) -> None:
         heap = self._heap
         dirty = self._dirty
         nodes = self._nodes
-        budget = self._budget
+        val = self._val
+        xm = self._xm
+        write = self._write
         execs = 0
         while heap:
             nid = heappop(heap)
-            if not dirty[nid]:
-                continue
-            dirty[nid] = False
-            execs += 1
-            if execs > budget:
-                raise SimulationError(
-                    "combinational logic did not settle (possible combinational loop)"
-                )
-            nodes[nid](self)
+            if dirty[nid]:
+                dirty[nid] = False
+                execs += 1
+                if execs > self._budget:
+                    raise SimulationError(_NOT_SETTLED)
+                nodes[nid](val, xm, write)
 
-    def _apply_inputs(self, inputs: Mapping[str, int]) -> None:
-        # Stimulus vectors drive the same signals every cycle: the
-        # name -> (slot, mask) resolution is cached across cycles.
-        lookup = self._input_lookup
+    def _commit(self, updates: dict) -> None:
         val = self._val
         xm = self._xm
-        rec_changed = self._rec_changed
-        dirty = self._dirty
-        heap = self._heap
-        readers = self._readers
-        for name, value in inputs.items():
-            entry = lookup.get(name)
-            if entry is None:
-                if name not in self._design.signals:
-                    raise SimulationError(f"unknown input signal '{name}'")
-                slot = self._slots[name]
-                entry = (slot, self._sig_mask[slot])
-                lookup[name] = entry
-            slot, m = entry
-            if type(value) is int:
-                v = value & m
-                x = 0
-            elif isinstance(value, LogicValue):
-                x = value.xmask & m
-                v = value.value & m & ~x
-            else:
-                v = int(value) & m
-                x = 0
-            # Inlined _write: this runs for every input on every cycle.
+        for slot, (v, x) in updates.items():
             if val[slot] != v or xm[slot] != x:
-                val[slot] = v
-                xm[slot] = x
-                rec_changed.add(slot)
-                for nid in readers[slot]:
-                    if not dirty[nid]:
-                        dirty[nid] = True
-                        heappush(heap, nid)
-                # A stimulus write to a signal that also has combinational
-                # drivers must re-run those drivers: in the interpreter's
-                # fixed-point settle the driver always wins over the forced
-                # value, and the compiled backend must agree.
-                for nid in self._writer_nodes[slot]:
-                    if not dirty[nid]:
-                        dirty[nid] = True
-                        heappush(heap, nid)
-
-    def _step(self, inputs: Mapping[str, int]) -> None:
-        pav = self._prev_async_v
-        pax = self._prev_async_x
-        val = self._val
-        xm = self._xm
-        for i, slot in enumerate(self._async_slots):
-            pav[i] = val[slot]
-            pax[i] = xm[slot]
-        self._apply_inputs(inputs)
-        self._settle()
-        self._fire_async_edges()
-        # A pre-edge change is sampled from its own cycle on; a post-edge
-        # change is first sampled one cycle later (matching DiffTrace).
-        pre_diff = self._record_diff(self._cycle)
-        self._fire_clock_edge()
-        self._settle()
-        post_diff = self._record_diff(self._cycle + 1)
-        self._trace.append_diffs(pre_diff, post_diff)
-        self._cycle += 1
-
-    def _fire_async_edges(self) -> None:
-        triggered: list[_CompiledBlock] = []
-        for block, triggers in self._async_triggers:
-            for async_idx, edge in triggers:
-                pv = self._prev_async_v[async_idx]
-                px = self._prev_async_x[async_idx]
-                slot = self._async_slots[async_idx]
-                cv, cx = self._val[slot], self._xm[slot]
-                if px or cx:
-                    continue
-                before = pv & 1
-                after = cv & 1
-                if edge == "negedge":
-                    fired = before == 1 and after == 0
-                else:
-                    fired = before == 0 and after == 1
-                if fired:
-                    triggered.append(block)
-                    break
-        if triggered:
-            self._run_blocks(triggered)
-            self._settle()
+                self._write(slot, v, x)
 
     def _fire_clock_edge(self) -> None:
-        toggle = self._clock_pulse_observable or self._val[self._clock_slot] != 0
+        clock = self._clock_slot
+        toggle = self._clock_pulse_observable or self._val[clock] != 0
         if toggle:
-            self._write(self._clock_slot, 1, 0)
-        self._run_blocks(self._posedge_blocks, self._posedge_pure)
+            self._commit({clock: (1, 0)})
+        self._run_blocks(self._posedge_blocks)
         if self._negedge_blocks:
             # Negedge-clocked blocks fire "half a cycle later": settle, then run.
             self._settle()
-            self._run_blocks(self._negedge_blocks, self._negedge_pure)
+            self._run_blocks(self._negedge_blocks)
         if toggle:
-            self._write(self._clock_slot, 0, 0)
+            self._commit({clock: (0, 0)})
 
-    def _run_blocks(
-        self, blocks: list[_CompiledBlock], pure: Optional[bool] = None
-    ) -> None:
+    def _run_blocks(self, blocks: list[_CompiledBlock]) -> None:
         """Execute blocks against the pre-edge state; commit NBAs together."""
-        if not blocks:
-            return
-        write = self._write
-        if pure is None:
-            pure = all(block.pure_nba for block in blocks)
-        if pure:
-            # Fast path for idiomatic RTL (only non-blocking assignments):
-            # nothing mutates the working environment and nothing is
-            # committed until every block has run, so all blocks can read
-            # the live arrays directly -- no copies at all.
-            val = self._val
-            xm = self._xm
-            nonblocking: dict[int, tuple[int, int]] = {}
-            empty: dict[int, tuple[int, int]] = {}
+        nonblocking: dict[int, tuple[int, int]] = {}
+        if all(block.pure_nba for block in blocks):
+            # No block writes B, and nothing is committed until every block
+            # has run: all of them can read the live arrays.
             for block in blocks:
-                for fn in block.stmts:
-                    fn(val, xm, empty, nonblocking)
-            rec_changed = self._rec_changed
-            dirty = self._dirty
-            heap = self._heap
-            readers = self._readers
-            for slot, (v, x) in nonblocking.items():
-                # Inlined _write: the register-commit loop runs every cycle.
-                if val[slot] != v or xm[slot] != x:
-                    val[slot] = v
-                    xm[slot] = x
-                    rec_changed.add(slot)
-                    for nid in readers[slot]:
-                        if not dirty[nid]:
-                            dirty[nid] = True
-                            heappush(heap, nid)
-            return
-        base_v = self._val.copy()
-        base_x = self._xm.copy()
-        nonblocking = {}
-        for block in blocks:
-            lv = base_v.copy()
-            lx = base_x.copy()
-            blocking: dict[int, tuple[int, int]] = {}
-            nba: dict[int, tuple[int, int]] = {}
-            for fn in block.stmts:
-                fn(lv, lx, blocking, nba)
-            for slot, (v, x) in blocking.items():
-                write(slot, v, x)
-            nonblocking.update(nba)
-        for slot, (v, x) in nonblocking.items():
-            write(slot, v, x)
-
-    def _record_diff(self, event_cycle: int) -> dict[str, LogicValue]:
-        diff: dict[str, LogicValue] = {}
-        shadow_v = self._shadow_v
-        shadow_x = self._shadow_x
-        val = self._val
-        xm = self._xm
-        names = self._names
-        widths = self._sig_width
-        column_events = self._trace._column_events
-        for slot in self._rec_changed:
-            v = val[slot]
-            x = xm[slot]
-            if shadow_v[slot] != v or shadow_x[slot] != x:
-                shadow_v[slot] = v
-                shadow_x[slot] = x
-                diff[names[slot]] = _fast_logic_value(v, x, widths[slot])
-                if column_events is not None:
-                    # Straight into the column buffers: flat ints, no
-                    # LogicValue unpacking when columns() is consumed later.
-                    column_events.setdefault(names[slot], []).append((event_cycle, v, x))
-        self._rec_changed.clear()
-        return diff
+                block.fn(self._val, self._xm, nonblocking, nonblocking)
+        else:
+            # Blocking writes land after each block; every block reads the
+            # pre-edge snapshot (the functions never write their arrays).
+            base_v = self._val.copy()
+            base_x = self._xm.copy()
+            for block in blocks:
+                blocking: dict[int, tuple[int, int]] = {}
+                block.fn(base_v, base_x, blocking, nonblocking)
+                self._commit(blocking)
+        self._commit(nonblocking)

@@ -40,12 +40,6 @@ class SimulatorOptions:
 
     clock: Optional[str] = None  # name of the clock signal; autodetected if None
     x_initial_state: bool = False  # initialise registers to x instead of 0
-    #: Compiled backend only: stream per-signal column change events (flat
-    #: ints) into the DiffTrace while simulating, so ``trace.columns()`` --
-    #: what the vectorised SVA checker consumes -- never has to unpack
-    #: LogicValue diffs.  The interpreter ignores this (its plain Trace
-    #: builds columns from samples).
-    record_columns: bool = False
 
 
 def detect_clock(design: ElaboratedDesign) -> str:

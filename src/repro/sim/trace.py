@@ -51,48 +51,6 @@ class TraceColumns:
             raise KeyError(f"signal '{name}' has no column in this trace") from exc
 
 
-def _fill_columns_from_events(
-    names: list[str],
-    events: dict[str, list[tuple[int, int, int]]],
-    widths: dict[str, int],
-    cycles: int,
-) -> TraceColumns:
-    """Build :class:`TraceColumns` from per-signal change events.
-
-    ``events[name]`` is ``[(start_cycle, value, xmask), ...]`` in application
-    order: each event holds from its start cycle until the next event (later
-    events at the same start cycle override earlier ones).  The fill is one
-    slice assignment per *change*, so quiet signals cost O(1) regardless of
-    trace length.
-    """
-    values: dict[str, np.ndarray] = {}
-    xmasks: dict[str, np.ndarray] = {}
-    for name in names:
-        dtype = _column_dtype(widths[name])
-        signal_events = events[name]
-        count = len(signal_events)
-        if count == 0:  # pragma: no cover - callers always seed a cycle-0 event
-            values[name] = np.zeros(cycles, dtype=dtype)
-            xmasks[name] = np.zeros(cycles, dtype=dtype)
-            continue
-        # Each event holds until the next one's (clipped) start: one
-        # np.repeat builds the whole column, so the fill is O(events) numpy
-        # work whether the signal changed once or every cycle.
-        starts = np.fromiter((e[0] for e in signal_events), np.int64, count)
-        np.clip(starts, 0, cycles, out=starts)
-        stops = np.empty(count, dtype=np.int64)
-        stops[:-1] = starts[1:]
-        stops[-1] = cycles
-        lengths = np.maximum(stops - starts, 0)
-        values[name] = np.repeat(
-            np.fromiter((e[1] for e in signal_events), dtype, count), lengths
-        )
-        xmasks[name] = np.repeat(
-            np.fromiter((e[2] for e in signal_events), dtype, count), lengths
-        )
-    return TraceColumns(cycles=cycles, values=values, xmasks=xmasks, widths=dict(widths))
-
-
 @dataclass
 class TraceSample:
     """Signal values for one clock cycle."""
@@ -295,150 +253,187 @@ class Trace:
         return "\n".join(rows)
 
 
+
+
 class DiffTrace(Trace):
-    """A trace stored as per-cycle diffs instead of full snapshots.
+    """A trace stored as one change-event log per signal slot.
 
-    The compiled simulation backend records, for every cycle, only the
-    signals whose value changed since the previous sampling point (two
-    sampling points per cycle: preponed and post-edge).  Samples are
-    materialised into ordinary :class:`TraceSample` objects lazily, on first
-    access, and cached; unchanged sampling points share the predecessor's
-    dict so a quiet design costs almost nothing to store or to read.
+    The compiled simulation backend appends, at each of a cycle's two
+    sampling points, one event per signal whose value changed since the
+    previous point, as flat ints in three parallel per-slot lists:
+    ``event_halves`` (half-cycle index), ``event_values`` and
+    ``event_xmasks``.  Half ``2c`` is the preponed sample of cycle ``c``; a
+    change at half ``2c + 1`` (after the edge) is first sampled at
+    ``c + 1``.
 
-    The class satisfies the full :class:`Trace` API: any access that needs
-    the plain ``samples`` list (e.g. :meth:`Trace.slice`) transparently
-    materialises the whole trace first.
+    :meth:`columns` reads the events directly (numpy, no per-cycle work),
+    and :class:`TraceSample` objects are materialised lazily and
+    incrementally on first access: unchanged sampling points share the
+    predecessor's dict, and a trace that grows (``step()`` in a loop) never
+    rebuilds its earlier cycles.  The class satisfies the full
+    :class:`Trace` API.
     """
 
-    def __init__(self, signals: list[str], base: dict[str, LogicValue]):
+    def __init__(
+        self,
+        signals: list[str],
+        names: list[str],
+        widths: list[int],
+        values: list[int],
+        xmasks: list[int],
+    ):
         # Deliberately does not call the dataclass __init__: `samples` is
         # replaced by a lazily-materialised property.
         self.signals = list(signals)
-        self._base = dict(base)
-        self._pre_diffs: list[dict[str, LogicValue]] = []
-        self._post_diffs: list[dict[str, LogicValue]] = []
+        self._names = list(names)
+        self._slot_of = {name: slot for slot, name in enumerate(names)}
+        self._widths = list(widths)
+        self._base_values = list(values)
+        self._base_xmasks = list(xmasks)
+        count = len(names)
+        self.event_halves: list[list[int]] = [[] for _ in range(count)]
+        self.event_values: list[list[int]] = [[] for _ in range(count)]
+        self.event_xmasks: list[list[int]] = [[] for _ in range(count)]
+        self._length = 0
         self._cache: list[TraceSample] = []
-        #: Optional simulator-recorded column buffers: per-signal change
-        #: events ``(sample_cycle, value, xmask)`` as plain ints, written
-        #: straight from the compiled simulator's flat arrays (see
-        #: ``SimulatorOptions.record_columns``).  When present,
-        #: :meth:`columns` reads them instead of unpacking LogicValue diffs.
-        self._column_events: Optional[dict[str, list[tuple[int, int, int]]]] = None
+        #: Per slot, how many events the materialised samples have consumed.
+        self._consumed = [0] * count
 
-    # -- recording (used by the compiled backend) ----------------------- #
-
-    def append_diffs(
-        self, pre_diff: dict[str, LogicValue], post_diff: dict[str, LogicValue]
-    ) -> None:
-        """Record one cycle as (changes up to the preponed sample, changes up
-        to the post-edge sample)."""
-        self._pre_diffs.append(pre_diff)
-        self._post_diffs.append(post_diff)
+    def _extend_to(self, length: int) -> None:
+        """Declare ``length`` cycles recorded (called by the simulator)."""
+        self._length = length
         self._invalidate_columns()
 
     def append(self, sample: TraceSample) -> None:  # pragma: no cover - guard
-        raise TypeError("DiffTrace records cycles via append_diffs(), not append()")
-
-    def enable_column_recording(self) -> None:
-        """Let the recording simulator stream column events into this trace.
-
-        The producer (the compiled simulator's diff recorder) appends
-        ``(sample_cycle, value, xmask)`` tuples straight into
-        ``_column_events`` -- deliberately no per-event method call on a
-        loop that runs for every changed signal of every cycle.
-        """
-        if self._column_events is None:
-            self._column_events = {}
-
-    @property
-    def records_columns(self) -> bool:
-        return self._column_events is not None
+        raise TypeError("DiffTrace cycles are recorded by the compiled simulator")
 
     # -- lazy materialisation ------------------------------------------- #
 
     def _materialize_to(self, index: int) -> None:
-        while len(self._cache) <= index:
-            cycle = len(self._cache)
-            previous = self._cache[-1].post_edge if self._cache else self._base
-            pre_diff = self._pre_diffs[cycle]
+        start = len(self._cache)
+        if index < start:
+            return
+        stop_half = 2 * (index + 1)
+        names = self._names
+        widths = self._widths
+        # Values are immutable: one object per distinct (value, xmask, width).
+        made: dict[tuple[int, int, int], LogicValue] = {}
+
+        def logic(value: int, xmask: int, width: int) -> LogicValue:
+            key = (value, xmask, width)
+            result = made.get(key)
+            if result is None:
+                result = made[key] = LogicValue(value=value, xmask=xmask, width=width)
+            return result
+
+        # Each half-cycle's changes, gathered from the unconsumed events.
+        diffs: dict[int, dict[str, LogicValue]] = {}
+        consumed = self._consumed
+        for slot, halves in enumerate(self.event_halves):
+            position = consumed[slot]
+            end = len(halves)
+            if position == end or halves[position] >= stop_half:
+                continue
+            values = self.event_values[slot]
+            xmasks = self.event_xmasks[slot]
+            name = names[slot]
+            width = widths[slot]
+            while position < end and halves[position] < stop_half:
+                diff = diffs.get(halves[position])
+                if diff is None:
+                    diff = diffs[halves[position]] = {}
+                diff[name] = logic(values[position], xmasks[position], width)
+                position += 1
+            consumed[slot] = position
+        if self._cache:
+            previous = self._cache[-1].post_edge
+        else:
+            previous = {
+                name: logic(self._base_values[slot], self._base_xmasks[slot], widths[slot])
+                for slot, name in enumerate(names)
+            }
+        for cycle in range(start, index + 1):
+            pre_diff = diffs.get(2 * cycle)
             if pre_diff:
                 pre = dict(previous)
                 pre.update(pre_diff)
             else:
                 pre = previous  # shared: consumers never mutate samples
-            post_diff = self._post_diffs[cycle]
+            post_diff = diffs.get(2 * cycle + 1)
             if post_diff:
                 post = dict(pre)
                 post.update(post_diff)
             else:
                 post = pre
             self._cache.append(TraceSample(cycle=cycle, pre_edge=pre, post_edge=post))
+            previous = post
 
     @property
     def samples(self) -> list[TraceSample]:  # type: ignore[override]
-        if self._pre_diffs:
-            self._materialize_to(len(self._pre_diffs) - 1)
+        if self._length:
+            self._materialize_to(self._length - 1)
         return self._cache
 
     @samples.setter
     def samples(self, value: list[TraceSample]) -> None:  # pragma: no cover - guard
-        raise TypeError("DiffTrace samples are derived from recorded diffs")
+        raise TypeError("DiffTrace samples are derived from recorded events")
 
     def materialized(self) -> Trace:
         """An eager :class:`Trace` copy (useful before pickling across processes)."""
         return Trace(signals=list(self.signals), samples=list(self.samples))
 
     def has_signals(self, names: list[str]) -> bool:
-        # Diff keys are always a subset of the base keys (both come from the
-        # recording simulator's fixed signal list), so base membership is
-        # the whole answer -- no materialisation.
-        base = self._base
-        return all(name in base for name in names)
+        # Every recorded slot is in every sample: membership is the answer,
+        # with no materialisation.
+        return all(name in self._slot_of for name in names)
 
     def _build_columns(self, names: Optional[list[str]] = None) -> TraceColumns:
-        """Columnar view built **directly from the recorded diffs**.
+        """Columnar view built **directly from the event log**.
 
-        Unlike the base implementation this never materialises per-cycle
-        sample dicts: each diff entry becomes one change event and quiet
-        stretches become one slice fill, so a quiet design's columns cost
-        O(changes), not O(cycles x signals).  When the simulator recorded
-        column events (``SimulatorOptions.record_columns``), those flat int
-        buffers are consumed as-is.
+        Each event holds from the cycle it is first sampled until the next
+        event's (later events at the same cycle override earlier ones), so
+        one ``np.repeat`` per signal builds its column: O(changes) numpy
+        work, never per-cycle sample dicts.
         """
         names = list(names) if names is not None else list(self.signals)
-        base = self._base
-        missing = sorted(name for name in names if name not in base)
+        missing = sorted(name for name in names if name not in self._slot_of)
         if missing:
             raise KeyError(f"signals not in trace: {', '.join(missing)}")
-        cycles = len(self._pre_diffs)
-        widths = {name: base[name].width for name in names}
-        events: dict[str, list[tuple[int, int, int]]] = {
-            name: [(0, base[name].value, base[name].xmask)] for name in names
-        }
-        if self._column_events is not None:
-            for name in names:
-                recorded = self._column_events.get(name)
-                if recorded:
-                    events[name].extend(recorded)
-        else:
-            wanted = set(names)
-            # A pre-edge change holds from its own cycle; a post-edge change
-            # is first *sampled* one cycle later.  Iterating cycle-by-cycle
-            # appends events in exactly the order the diffs were applied, so
-            # a later event at the same start cycle correctly overrides.
-            for cycle in range(cycles):
-                for name, value in self._pre_diffs[cycle].items():
-                    if name in wanted:
-                        events[name].append((cycle, value.value, value.xmask))
-                for name, value in self._post_diffs[cycle].items():
-                    if name in wanted:
-                        events[name].append((cycle + 1, value.value, value.xmask))
-        return _fill_columns_from_events(names, events, widths, cycles)
+        cycles = self._length
+        values: dict[str, np.ndarray] = {}
+        xmasks: dict[str, np.ndarray] = {}
+        widths: dict[str, int] = {}
+        for name in names:
+            slot = self._slot_of[name]
+            width = self._widths[slot]
+            dtype = _column_dtype(width)
+            halves = self.event_halves[slot]
+            count = len(halves) + 1
+            starts = np.zeros(count, dtype=np.int64)
+            if count > 1:
+                starts[1:] = halves
+                starts[1:] += 1
+                starts[1:] >>= 1
+            np.clip(starts, 0, cycles, out=starts)
+            stops = np.empty(count, dtype=np.int64)
+            stops[:-1] = starts[1:]
+            stops[-1] = cycles
+            lengths = np.maximum(stops - starts, 0)
+            column_v = np.empty(count, dtype=dtype)
+            column_x = np.empty(count, dtype=dtype)
+            column_v[0] = self._base_values[slot]
+            column_x[0] = self._base_xmasks[slot]
+            column_v[1:] = self.event_values[slot]
+            column_x[1:] = self.event_xmasks[slot]
+            values[name] = np.repeat(column_v, lengths)
+            xmasks[name] = np.repeat(column_x, lengths)
+            widths[name] = width
+        return TraceColumns(cycles=cycles, values=values, xmasks=xmasks, widths=widths)
 
     # -- cheap accessors that avoid materialising the whole run ---------- #
 
     def __len__(self) -> int:
-        return len(self._pre_diffs)
+        return self._length
 
     def __iter__(self) -> Iterator[TraceSample]:
         for index in range(len(self)):
@@ -458,6 +453,6 @@ class DiffTrace(Trace):
         return self[cycle].sampled(name)
 
     def last(self) -> TraceSample:
-        if not self._pre_diffs:
+        if not self._length:
             raise IndexError("trace is empty")
         return self[len(self) - 1]

@@ -28,7 +28,6 @@ from repro.eval.executor import VerificationJob, run_verification_jobs
 from repro.eval.verifier import CandidateFix, SemanticVerifier, VerifierConfig
 from repro.hdl.lint import compile_source
 from repro.sim.compile import CompiledSimulator, compile_design
-from repro.sim.engine import SimulatorOptions
 from repro.sim.stimulus import StimulusGenerator
 from repro.sva.compile import CompiledAssertionChecker
 from repro.sva.generator import insert_assertions, template_assertion_blocks
@@ -78,8 +77,7 @@ def run_trace(design, compiled, seed=7):
     vectors = StimulusGenerator(design, seed=seed).mixed_stimulus(
         random_cycles=CYCLES
     ).vectors
-    options = SimulatorOptions(record_columns=True)
-    return CompiledSimulator(design, options=options, compiled=compiled).run(vectors)
+    return CompiledSimulator(design, compiled=compiled).run(vectors)
 
 
 def report_keys(report):

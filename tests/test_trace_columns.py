@@ -29,7 +29,7 @@ from repro.bugs.injector import BugInjector, InjectionConfig
 from repro.corpus.templates import all_families
 from repro.hdl.lint import compile_source
 from repro.obs.metrics import labeled, scoped_registry
-from repro.sim.engine import SimulationError, Simulator, SimulatorOptions
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.stimulus import StimulusGenerator
 from repro.sim.trace import INT64_COLUMN_MAX_WIDTH
 from repro.sva.checker import AssertionChecker
@@ -58,10 +58,9 @@ def augmented_design(family, prefix="col"):
     return augmented, result.design
 
 
-def simulate(design, seed=11, cycles=24, record_columns=False):
+def simulate(design, seed=11, cycles=24):
     vectors = StimulusGenerator(design, seed=seed).mixed_stimulus(random_cycles=cycles).vectors
-    options = SimulatorOptions(record_columns=record_columns)
-    return Simulator(design, options).run(vectors)
+    return Simulator(design).run(vectors)
 
 
 def assert_columns_match_samples(trace, names):
@@ -83,18 +82,14 @@ def assert_columns_match_samples(trace, names):
 
 @pytest.mark.parametrize("family", FAMILIES[:10], ids=[f.name for f in FAMILIES[:10]])
 def test_columns_match_sampled_values(family):
-    """Diff-derived, recorded and dict-backed columns all equal the samples."""
+    """Event-log and dict-backed columns both equal the samples."""
     _, design = augmented_design(family)
     if design is None:
         pytest.skip("family yields no augmented design")
     names = sorted(design.signals)
-    # DiffTrace, columns derived from the recorded diffs.
+    # DiffTrace, columns built from the recorded event log.
     diff_trace = simulate(design)
     assert_columns_match_samples(diff_trace, names)
-    # DiffTrace with simulator-recorded column events.
-    recorded_trace = simulate(design, record_columns=True)
-    assert recorded_trace.records_columns
-    assert_columns_match_samples(recorded_trace, names)
     # Fully materialised dict-backed trace.
     assert_columns_match_samples(simulate(design).materialized(), names)
 
@@ -104,8 +99,9 @@ def test_recorded_and_derived_columns_identical():
     if design is None:
         pytest.skip("family yields no augmented design")
     names = sorted(design.signals)
-    derived = simulate(design).columns(names)
-    recorded = simulate(design, record_columns=True).columns(names)
+    # The event log's numpy build against the dict-backed per-sample build.
+    recorded = simulate(design).columns(names)
+    derived = simulate(design).materialized().columns(names)
     for name in names:
         assert np.array_equal(derived.values[name], recorded.values[name])
         assert np.array_equal(derived.xmasks[name], recorded.xmasks[name])
@@ -121,7 +117,7 @@ endmodule
 
 
 def test_difftrace_columns_do_not_densify():
-    """A quiet design's columns must come from diffs, not materialised dicts."""
+    """A quiet design's columns must come from events, not materialised dicts."""
     design = compile_source(QUIET_SOURCE).design
     assert design is not None
     # Constant input: after the first cycle nothing changes.
@@ -130,11 +126,6 @@ def test_difftrace_columns_do_not_densify():
     assert trace._cache == [], "columns() materialised per-cycle samples"
     assert columns.values["a"].tolist() == [5] * 40
     assert columns.values["b"].tolist()[2:] == [5] * 38
-    # The recorded-buffer path must not densify either.
-    recorded = Simulator(design, SimulatorOptions(record_columns=True)).run([{"a": 5}] * 40)
-    recorded_columns = recorded.columns(["b"])
-    assert recorded._cache == []
-    assert recorded_columns.values["b"].tolist() == columns.values["b"].tolist()
 
 
 def test_columns_unknown_signal_raises_clear_error():
@@ -285,7 +276,7 @@ def test_vectorised_outcomes_identical(family):
     )
     # The tensor must engage on both diff-backed and dict-backed traces
     # (different columns() implementations).
-    diff_trace = simulate(design, seed=12, cycles=32, record_columns=True)
+    diff_trace = simulate(design, seed=12, cycles=32)
     assert_matches_oracle(design, diff_trace)
     assert_matches_oracle(design, simulate(design, seed=13, cycles=32).materialized())
 
@@ -303,7 +294,7 @@ def test_vectorised_mutant_outcomes_identical():
             if not buggy.ok or buggy.design is None:
                 continue
             try:
-                trace = simulate(buggy.design, seed=9, record_columns=True)
+                trace = simulate(buggy.design, seed=9)
             except SimulationError:
                 continue
             assert_matches_oracle(buggy.design, trace)
@@ -481,7 +472,7 @@ def test_stacked_batch_on_template_families():
             continue
         checker = CompiledAssertionChecker(design)
         traces = [
-            simulate(design, seed=60 + i, cycles=12 + 9 * i, record_columns=True)
+            simulate(design, seed=60 + i, cycles=12 + 9 * i)
             for i in range(3)
         ]
         batched = checker.check_batch(traces)
@@ -536,11 +527,12 @@ def test_columns_memo_invalidated_on_append():
 
 def test_difftrace_columns_memo_invalidated_by_recording():
     design = compile_source(QUIET_SOURCE).design
-    trace = Simulator(design).run([{"a": 5}] * 6)
+    sim = Simulator(design)
+    trace = sim.run([{"a": 5}] * 6)
     first = trace.columns(["a", "b"])
     assert trace.columns(["a", "b"]) is first
-    # Recording one more cycle through the DiffTrace API must invalidate.
-    trace.append_diffs({}, {})
+    # Recording one more cycle must invalidate.
+    sim.step({"a": 5})
     rebuilt = trace.columns(["a", "b"])
     assert rebuilt is not first
     assert rebuilt.cycles == first.cycles + 1
@@ -553,6 +545,46 @@ def test_columns_memo_dropped_on_pickle():
     restored = pickle.loads(pickle.dumps(trace))
     assert "_columns_memo" not in restored.__dict__
     assert restored.columns(["a"]).values["a"].tolist() == built.values["a"].tolist()
+
+
+def test_event_log_columns_memo_dropped_on_pickle():
+    design = compile_source(QUIET_SOURCE).design
+    trace = Simulator(design).run([{"a": 5}, {"a": 3}] * 4)
+    built = trace.columns(["a", "b"])
+    restored = pickle.loads(pickle.dumps(trace))
+    assert "_columns_memo" not in restored.__dict__
+    assert restored.columns(["a", "b"]).values["b"].tolist() == built.values["b"].tolist()
+    assert restored.materialized() == trace.materialized()
+
+
+def test_step_after_run_extends_the_same_trace():
+    design = compile_source(QUIET_SOURCE).design
+    vectors = [{"a": v} for v in (1, 2, 3, 4, 5, 6)]
+    sim = Simulator(design)
+    trace = sim.run(vectors[:3])
+    early = trace[2]
+    for vector in vectors[3:]:
+        sample = sim.step(vector)
+        assert sample is trace[len(trace) - 1]
+    assert sim.trace is trace and len(trace) == 6
+    assert trace[2] is early, "extending the trace rebuilt an earlier cycle"
+    reference = Simulator(design).run(vectors)
+    assert trace.materialized() == reference.materialized()
+    assert trace.columns(["b"]).values["b"].tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def test_vcd_of_every_family_is_unchanged():
+    """Byte-identical to the closure-compiled simulator's VCD output."""
+    import hashlib
+
+    from repro.sim.vcd import vcd_string
+
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        design = compile_source(family.build(f"vcd_{family.name}", **family.parameter_grid[0]).source).design
+        vectors = StimulusGenerator(design, seed=5).mixed_stimulus(random_cycles=40).vectors
+        digest.update(vcd_string(Simulator(design).run(vectors), module_name=family.name).encode())
+    assert digest.hexdigest() == "38e4137c17e2691097423e4a0f4ae5a442f5a616d99176315a57c14eb7b21799"
 
 
 # --------------------------------------------------------------------------- #
